@@ -1,0 +1,7 @@
+"""Make the benchmark package and the package under test importable."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
