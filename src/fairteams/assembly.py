@@ -12,7 +12,6 @@ distinct projects in parallel cannot perturb each other's draws.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -274,18 +273,6 @@ def _diagnostics(state: _PipelineState) -> AssemblyDiagnostics:
     )
 
 
-def _finish(
-    state: _PipelineState, selection: SelectionMode, rng: np.random.Generator
-) -> AssemblyOutcome:
-    diagnostics = _diagnostics(state)
-    if not state.front_indices:
-        return AssemblyOutcome("multi", selection, None, None, diagnostics)
-    index = _select_index(state.covered, state.vectors, state.front_indices, selection, rng)
-    return AssemblyOutcome(
-        "multi", selection, state.covered[index], state.vectors[index], diagnostics
-    )
-
-
 def assemble_multi_objective(
     pool: Sequence[Candidate], project: Project, params: AssemblyParams
 ) -> AssemblyOutcome:
@@ -294,8 +281,14 @@ def assemble_multi_objective(
     Returns a failure outcome (team None) when no sampled team covers every
     requirement; diagnostics are populated either way.
     """
-    state = _run_pipeline(pool, project, params)
-    return _finish(state, params.selection, state.rng)
+    return assemble_all_selections(
+        pool,
+        project,
+        team_size=params.team_size,
+        num_teams=params.num_teams,
+        seed=params.seed,
+        selections=(params.selection,),
+    )[params.selection]
 
 
 def assemble_all_selections(
@@ -307,22 +300,23 @@ def assemble_all_selections(
     seed: int,
     selections: Iterable[SelectionMode] = tuple(SelectionMode),
 ) -> dict[SelectionMode, AssemblyOutcome]:
-    """One pipeline run, one outcome per selection mode.
+    """One pipeline run, one outcome per distinct selection mode.
 
     Equivalent to calling `assemble_multi_objective` once per mode with the
-    same seed: the sampling draws are shared, and each mode's final pick reads
-    the generator as it stood right after sampling.
+    same seed: the sampling draws are shared, and only `random` reads the
+    generator after sampling, once, however the modes are ordered.
     """
-    modes = list(selections)
+    modes = list(dict.fromkeys(selections))
     params = AssemblyParams(team_size=team_size, num_teams=num_teams, seed=seed, selection=modes[0])
     state = _run_pipeline(pool, project, params)
-    post_sampling = state.rng.bit_generator.state
+    diagnostics = _diagnostics(state)
     outcomes: dict[SelectionMode, AssemblyOutcome] = {}
     for mode in modes:
-        pick_rng = np.random.default_rng()
-        pick_rng.bit_generator.state = copy.deepcopy(post_sampling)
-        outcome = _finish(state, mode, pick_rng)
-        outcomes[mode] = outcome
+        team = vector = None
+        if state.front_indices:
+            index = _select_index(state.covered, state.vectors, state.front_indices, mode, state.rng)
+            team, vector = state.covered[index], state.vectors[index]
+        outcomes[mode] = AssemblyOutcome("multi", mode, team, vector, diagnostics)
     return outcomes
 
 

@@ -10,7 +10,8 @@ Two interchangeable on-disk formats, picked by extension:
   ``skills`` as a list of tokens.
 
 A candidate record declares one cost; the loaded cost profile maps every
-listed skill to that declared cost.
+listed skill to that declared cost. Ids and skill tokens may not contain
+``;``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import numpy as np
 from .model import AttributeClass, Candidate, Project
 
 _ATTRIBUTE_TOKENS = {"0": AttributeClass.ZERO, "1": AttributeClass.ONE}
+_POOL_COLUMNS = ("id", "cost", "attribute", "skills")
+_PROJECT_COLUMNS = ("id", "skills")
 
 
 class DataFormatError(ValueError):
@@ -41,60 +44,62 @@ def _is_json(path: str | Path) -> bool:
     return Path(path).suffix.lower() == ".json"
 
 
-def _split_skills(field: str) -> list[str]:
-    return [token.strip() for token in field.split(";") if token.strip()]
-
-
 def _round_half_up(value: float) -> int:
     return int(math.floor(value + 0.5))
 
 
-def _pool_records(path: str | Path) -> list[tuple[str, str, float, str, list[str]]]:
-    """Yield (location, id, cost, attribute token, skills) per record."""
-    records = []
-    if _is_json(path):
-        with open(path, encoding="utf-8") as handle:
+def _read_records(path: str | Path, columns: Sequence[str]) -> list[tuple[str, list]]:
+    """Return (location, fields) per record; `columns` run from id to skills.
+
+    The location, `line N` or `record N`, is what error messages name. Fields
+    are strings in `columns` order: the id stripped, the skills a list of
+    non-empty stripped tokens, the rest as read. Blank lines are skipped. A
+    `;` inside an id or a skill token is rejected: `;` joins the skills of a
+    delimited record and the member ids in the outcome log.
+    """
+    with open(path, encoding="utf-8", newline="") as handle:
+        if _is_json(path):
             try:
                 data = json.load(handle)
             except json.JSONDecodeError as exc:
                 _fail(path, "file", f"invalid JSON: {exc}")
-        if not isinstance(data, list):
-            _fail(path, "file", "expected a JSON array of candidate records")
-        for index, record in enumerate(data, start=1):
-            where = f"record {index}"
-            if not isinstance(record, dict):
-                _fail(path, where, "expected an object")
-            missing = {"id", "cost", "attribute", "skills"} - record.keys()
-            if missing:
-                _fail(path, where, f"missing fields: {', '.join(sorted(missing))}")
-            skills = record["skills"]
-            if not isinstance(skills, list):
-                _fail(path, where, "skills must be a list of tokens")
-            records.append(
-                (
-                    where,
-                    str(record["id"]),
-                    record["cost"],
-                    str(record["attribute"]),
-                    [str(s).strip() for s in skills if str(s).strip()],
-                )
-            )
-    else:
-        with open(path, encoding="utf-8", newline="") as handle:
+            if not isinstance(data, list):
+                _fail(path, "file", "expected a JSON array of records")
+            rows = []
+            for index, record in enumerate(data, start=1):
+                where = f"record {index}"
+                if not isinstance(record, dict):
+                    _fail(path, where, "expected an object")
+                missing = set(columns) - record.keys()
+                if missing:
+                    _fail(path, where, f"missing fields: {', '.join(sorted(missing))}")
+                if not isinstance(record["skills"], list):
+                    _fail(path, where, "skills must be a list of tokens")
+                tokens = [str(token) for token in record["skills"]]
+                if any(";" in token for token in tokens):
+                    _fail(path, where, "';' is not allowed inside a skill token")
+                rows.append((where, [str(record[c]) for c in columns[:-1]] + [";".join(tokens)]))
+        else:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
                 _fail(path, "file", "empty file, expected a header row")
-            expected = ["id", "cost", "attribute", "skills"]
-            if [column.strip() for column in header] != expected:
-                _fail(path, "line 1", f"expected header {','.join(expected)}")
-            for line, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                where = f"line {line}"
-                if len(row) != 4:
-                    _fail(path, where, f"expected 4 fields, got {len(row)}")
-                records.append((where, row[0].strip(), row[1], row[2].strip(), _split_skills(row[3])))
+            if [column.strip() for column in header] != list(columns):
+                _fail(path, "line 1", f"expected header {','.join(columns)}")
+            rows = (
+                (f"line {line}", row)
+                for line, row in enumerate(reader, start=2)
+                if row and (len(row) > 1 or row[0].strip())
+            )
+        records = []
+        for where, row in rows:
+            if len(row) != len(columns):
+                _fail(path, where, f"expected {len(columns)} fields, got {len(row)}")
+            row[0] = row[0].strip()
+            if ";" in row[0]:
+                _fail(path, where, "';' is not allowed inside an id")
+            row[-1] = [token for token in map(str.strip, row[-1].split(";")) if token]
+            records.append((where, row))
     return records
 
 
@@ -111,14 +116,15 @@ def load_pool(
     """
     candidates: list[Candidate] = []
     seen: set[str] = set()
-    for where, cid, raw_cost, attr_token, skills in _pool_records(path):
+    for where, (cid, raw_cost, attr_token, skills) in _read_records(path, _POOL_COLUMNS):
+        attr_token = attr_token.strip()
         if not cid:
             _fail(path, where, "candidate id must be non-empty")
         if cid in seen:
             _fail(path, where, f"duplicate candidate id {cid!r}")
         try:
             cost = float(raw_cost)
-        except (TypeError, ValueError):
+        except ValueError:
             _fail(path, where, f"cost {raw_cost!r} is not a number")
         if not math.isfinite(cost) or cost <= 0.0:
             _fail(path, where, f"cost must be a finite positive number, got {cost!r}")
@@ -160,39 +166,7 @@ def load_projects(path: str | Path) -> list[Project]:
     """Load projects in file order; duplicate skills within a record collapse."""
     projects: list[Project] = []
     seen: set[str] = set()
-    if _is_json(path):
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                _fail(path, "file", f"invalid JSON: {exc}")
-        if not isinstance(data, list):
-            _fail(path, "file", "expected a JSON array of project records")
-        rows = []
-        for index, record in enumerate(data, start=1):
-            where = f"record {index}"
-            if not isinstance(record, dict) or {"id", "skills"} - record.keys():
-                _fail(path, where, "expected an object with id and skills")
-            if not isinstance(record["skills"], list):
-                _fail(path, where, "skills must be a list of tokens")
-            rows.append((where, str(record["id"]), [str(s).strip() for s in record["skills"] if str(s).strip()]))
-    else:
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                _fail(path, "file", "empty file, expected a header row")
-            if [column.strip() for column in header] != ["id", "skills"]:
-                _fail(path, "line 1", "expected header id,skills")
-            rows = []
-            for line, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                where = f"line {line}"
-                if len(row) != 2:
-                    _fail(path, where, f"expected 2 fields, got {len(row)}")
-                rows.append((where, row[0].strip(), _split_skills(row[1])))
-    for where, pid, skills in rows:
+    for where, (pid, skills) in _read_records(path, _PROJECT_COLUMNS):
         if not pid:
             _fail(path, where, "project id must be non-empty")
         if pid in seen:
@@ -206,40 +180,37 @@ def load_projects(path: str | Path) -> list[Project]:
     return projects
 
 
+def _write_records(path: str | Path, columns: Sequence[str], rows: Iterable[tuple]) -> None:
+    """Write rows in `columns` order; the last field is the list of skills."""
+    if _is_json(path):
+        payload = [dict(zip(columns, row)) for row in rows]
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        return
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([*fields, ";".join(skills)] for *fields, skills in rows)
+
+
 def save_pool(candidates: Sequence[Candidate], path: str | Path) -> None:
     """Write candidates in the format matching the path's extension.
 
-    Assumes the flat-cost model (one declared cost replicated across skills);
-    the declared cost written out is the profile's first cost.
+    The file formats hold one declared cost per candidate, so a profile with
+    more than one distinct cost raises `ValueError` instead of losing costs.
     """
     rows = []
     for c in candidates:
-        cost = next(iter(c.cost_profile.values()))
-        rows.append((c.id, cost, c.attribute.value, sorted(c.cost_profile)))
-    if _is_json(path):
-        payload = [
-            {"id": cid, "cost": cost, "attribute": attr, "skills": list(skills)}
-            for cid, cost, attr, skills in rows
-        ]
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "cost", "attribute", "skills"])
-        for cid, cost, attr, skills in rows:
-            writer.writerow([cid, repr(cost), attr, ";".join(skills)])
+        costs = set(c.cost_profile.values())
+        if len(costs) > 1:
+            raise ValueError(
+                f"candidate {c.id!r} has per-skill costs; pool files hold one cost per candidate"
+            )
+        rows.append((c.id, costs.pop(), c.attribute.value, sorted(c.cost_profile)))
+    _write_records(path, _POOL_COLUMNS, rows)
 
 
 def save_projects(projects: Sequence[Project], path: str | Path) -> None:
-    if _is_json(path):
-        payload = [{"id": p.id, "skills": list(p.sorted_requirements)} for p in projects]
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "skills"])
-        for p in projects:
-            writer.writerow([p.id, ";".join(p.sorted_requirements)])
+    _write_records(path, _PROJECT_COLUMNS, [(p.id, list(p.sorted_requirements)) for p in projects])
 
 
 def skill_universe(size: int) -> list[str]:

@@ -317,6 +317,20 @@ def test_all_selections_equal_individual_runs(small_pool, small_project):
         assert shared[mode].diagnostics == single.diagnostics
 
 
+def test_random_pick_ignores_the_other_requested_modes(small_pool, small_project):
+    # only `random` reads the generator after sampling, and reads it once
+    def random_pick(selections):
+        outcomes = assemble_all_selections(
+            small_pool, small_project, team_size=4, num_teams=150, seed=31, selections=selections
+        )
+        assert outcomes[SelectionMode.RANDOM].diagnostics.pareto_team_count > 1
+        return outcomes[SelectionMode.RANDOM].team.member_ids()
+
+    alone = random_pick([SelectionMode.RANDOM])
+    assert random_pick(reversed(ALL_MODES)) == alone
+    assert random_pick([SelectionMode.RANDOM, SelectionMode.RANDOM]) == alone
+
+
 def test_top_modes_reach_the_sampled_minimum(small_pool, small_project):
     seed, num_teams = 17, 300
     covered = _sampled_covered_teams(small_pool, small_project, 4, num_teams, seed)

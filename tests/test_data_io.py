@@ -8,6 +8,7 @@ import pytest
 
 from fairteams import (
     AttributeClass,
+    Candidate,
     DataFormatError,
     SynthesisSpec,
     load_pool,
@@ -35,6 +36,15 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _write_projects(tmp_path, suffix, records):
+    """Write (id, skills) records by hand in the format named by `suffix`."""
+    if suffix == ".json":
+        text = json.dumps([{"id": pid, "skills": skills} for pid, skills in records])
+    else:
+        text = "id,skills\n" + "".join(f"{pid},{';'.join(skills)}\n" for pid, skills in records)
+    return _write(tmp_path, f"projects{suffix}", text)
 
 
 # -- loading ------------------------------------------------------------------
@@ -74,6 +84,9 @@ def test_load_pool_errors_name_the_line(tmp_path):
     bad = "id,cost,attribute,skills\nu1,0.5,0,\n"
     with pytest.raises(DataFormatError, match="skill"):
         load_pool(_write(tmp_path, "skills.csv", bad))
+    bad = "id,cost,attribute,skills\nu1,0.5,0,java\nu;2,0.5,1,sql\n"
+    with pytest.raises(DataFormatError, match="line 3: ';'"):
+        load_pool(_write(tmp_path, "semicolon.csv", bad))
 
 
 def test_load_pool_json_errors_name_the_record(tmp_path):
@@ -83,6 +96,14 @@ def test_load_pool_json_errors_name_the_record(tmp_path):
     ]
     path = _write(tmp_path, "pool.json", json.dumps(records))
     with pytest.raises(DataFormatError, match="record 2"):
+        load_pool(path)
+    records[1] = {"id": "u;2", "cost": 0.5, "attribute": "1", "skills": ["sql"]}
+    path = _write(tmp_path, "id.json", json.dumps(records))
+    with pytest.raises(DataFormatError, match="record 2: ';'"):
+        load_pool(path)
+    records[1] = {"id": "u2", "cost": 0.5, "attribute": "1", "skills": ["sql;java"]}
+    path = _write(tmp_path, "skill.json", json.dumps(records))
+    with pytest.raises(DataFormatError, match="record 2: ';'"):
         load_pool(path)
 
 
@@ -107,13 +128,24 @@ def test_load_projects_deduplicates_and_preserves_order(tmp_path):
     assert projects[0].requirements == frozenset({"java", "sql"})
 
 
-def test_load_projects_errors(tmp_path):
-    with pytest.raises(DataFormatError, match="line 3"):
-        load_projects(_write(tmp_path, "dup.csv", "id,skills\np1,java\np1,sql\n"))
+@pytest.mark.parametrize(
+    "suffix, second", [(".csv", "line 3"), (".json", "record 2")], ids=["csv", "json"]
+)
+def test_load_projects_errors(tmp_path, suffix, second):
+    def load(records):
+        return load_projects(_write_projects(tmp_path, suffix, records))
+
+    with pytest.raises(DataFormatError, match=f"{second}: duplicate"):
+        load([("p1", ["java"]), ("p1", ["sql"])])
+    with pytest.raises(DataFormatError, match=f"{second}: ';'"):
+        load([("p1", ["java"]), ("p;2", ["sql"])])
+    if suffix == ".json":  # a delimited record splits skills on ';' instead
+        with pytest.raises(DataFormatError, match="record 2: ';'"):
+            load([("p1", ["java"]), ("p2", ["java;sql"])])
     with pytest.raises(DataFormatError, match="requirement"):
-        load_projects(_write(tmp_path, "empty-req.csv", "id,skills\np1,\n"))
+        load([("p1", [])])
     with pytest.raises(DataFormatError, match="no project records"):
-        load_projects(_write(tmp_path, "none.csv", "id,skills\n"))
+        load([])
 
 
 def test_load_projects_json(tmp_path):
@@ -179,6 +211,18 @@ def test_pool_round_trip(tmp_path, name):
     path = tmp_path / name
     save_pool(pool, path)
     assert load_pool(path) == pool
+
+
+@pytest.mark.parametrize("name", ["pool.csv", "pool.json"])
+def test_save_pool_rejects_per_skill_costs(tmp_path, name):
+    pool = [
+        Candidate("flat", AttributeClass.ZERO, {"x": 0.5, "y": 0.5}),
+        Candidate("mixed", AttributeClass.ONE, {"x": 0.1, "y": 0.9}),
+    ]
+    path = tmp_path / name
+    with pytest.raises(ValueError, match="'mixed'"):
+        save_pool(pool, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("name", ["projects.csv", "projects.json"])

@@ -94,14 +94,23 @@ def test_front_matches_oracle_on_random_instances():
         assert got == oracle_front_indices(vectors)
 
 
+ANY_COORDINATE = st.one_of(
+    st.integers(min_value=0, max_value=4).map(float),
+    st.floats(min_value=0.0, max_value=100.0),
+    st.just(INF),
+)
+# a power-of-two factor rounds subnormals and normals near the bottom of the
+# range (5e-324 * 0.25 == 0.0), so the scaling test stays well above it
+EXACTLY_SCALABLE_COORDINATE = st.one_of(
+    st.integers(min_value=0, max_value=4).map(float),
+    st.floats(min_value=1e-300, max_value=100.0),
+    st.just(INF),
+)
+
+
 @st.composite
-def vector_populations(draw):
+def vector_populations(draw, coordinate=ANY_COORDINATE):
     dim = draw(st.integers(min_value=1, max_value=5))
-    coordinate = st.one_of(
-        st.integers(min_value=0, max_value=4).map(float),
-        st.floats(min_value=0.0, max_value=100.0),
-        st.just(INF),
-    )
     return draw(
         st.lists(st.tuples(*([coordinate] * dim)), min_size=1, max_size=30)
     )
@@ -145,12 +154,12 @@ def test_front_id_set_ignores_input_order(vectors, shuffler):
 
 @settings(deadline=None)
 @given(
-    vector_populations(),
+    vector_populations(EXACTLY_SCALABLE_COORDINATE),
     st.sampled_from([0.25, 0.5, 2.0, 4.0]),
     st.integers(min_value=0, max_value=4),
 )
 def test_front_unchanged_by_scaling_one_coordinate(vectors, factor, axis_pick):
-    # power-of-two factors keep the scaling exact in binary floating point
+    # power-of-two factors keep the scaling exact on these coordinates
     axis = axis_pick % len(vectors[0])
     baseline = set(pareto_front(list(enumerate(vectors))))
     scaled = [
