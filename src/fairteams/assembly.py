@@ -209,10 +209,17 @@ def _run_pipeline(
     state.covered = [team for team in state.teams if coverage(team, project) == wanted]
     if not state.covered:
         return state
-    state.vectors = [objective_vector(team, project) for team in state.covered]
-    state.front_indices = pareto_front(
-        [(i, vec.as_tuple()) for i, vec in enumerate(state.vectors)]
-    )
+    # Copies of a team share their objectives and never dominate each other,
+    # so each distinct member set is scored once and the front over the
+    # distinct vectors is expanded back to every covered copy.
+    ids = [team.member_ids() for team in state.covered]
+    vectors = {
+        key: objective_vector(team, project)
+        for key, team in dict(zip(ids, state.covered)).items()
+    }
+    state.vectors = [vectors[key] for key in ids]
+    front = set(pareto_front([(key, vec.as_tuple()) for key, vec in vectors.items()]))
+    state.front_indices = [i for i, key in enumerate(ids) if key in front]
     return state
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -174,6 +175,8 @@ def run_benchmark(
     """Evaluate every target on every project; infeasible projects count as failures.
 
     Returns the aggregate report plus the raw per-project records backing it.
+    `jobs` is capped at the project count and `os.cpu_count()`; a cap of 1
+    runs in-process.
     """
     if not projects:
         raise ValueError("project corpus is empty")
@@ -181,14 +184,15 @@ def run_benchmark(
         raise ValueError("no targets selected")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    if jobs == 1:
+    workers = min(jobs, len(projects), os.cpu_count() or 1)
+    if workers == 1:
         batches = [
             _evaluate_project(pool, project, targets, team_size, num_teams, seed)
             for project in projects
         ]
     else:
         with ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(list(pool), list(targets), team_size, num_teams, seed),
         ) as executor:

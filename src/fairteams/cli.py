@@ -96,7 +96,12 @@ def _build_parser() -> _Parser:
     bench.add_argument("--format", choices=("csv", "table"), default="table")
     bench.add_argument("--out", default=None, help="write the report here instead of stdout")
     bench.add_argument("--log", default=None, help="per-project outcome log path")
-    bench.add_argument("--jobs", type=int, default=1, help="parallel workers over projects")
+    bench.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel workers over projects, capped at the project and CPU counts",
+    )
 
     synth = sub.add_parser("synth", help="generate a synthetic pool and/or project corpus")
     synth.add_argument("--out-pool", default=None, help="write a candidate pool here")

@@ -114,9 +114,15 @@ def load_pool(
     exactly round(share * n) candidates, picked by seeded shuffle, get class
     zero.
     """
+    records = _read_records(path, _POOL_COLUMNS)
+    # the positions need only the record count; for a bad share they are None,
+    # and the share is reported after the file's own errors
+    zeros = None
+    if class_zero_share is not None:
+        zeros = _class_zero_positions(len(records), class_zero_share, seed)
     candidates: list[Candidate] = []
     seen: set[str] = set()
-    for where, (cid, raw_cost, attr_token, skills) in _read_records(path, _POOL_COLUMNS):
+    for i, (where, (cid, raw_cost, attr_token, skills)) in enumerate(records):
         attr_token = attr_token.strip()
         if not cid:
             _fail(path, where, "candidate id must be non-empty")
@@ -133,29 +139,41 @@ def load_pool(
         if not skills:
             _fail(path, where, "skill list must be non-empty")
         seen.add(cid)
-        candidates.append(
-            Candidate(cid, _ATTRIBUTE_TOKENS[attr_token], {skill: cost for skill in skills})
-        )
+        attribute = _ATTRIBUTE_TOKENS[attr_token]
+        if zeros is not None:
+            attribute = AttributeClass.ZERO if i in zeros else AttributeClass.ONE
+        candidates.append(Candidate(cid, attribute, {skill: cost for skill in skills}))
     if not candidates:
         _fail(path, "file", "no candidate records")
-    if class_zero_share is not None:
-        candidates = reassign_attributes(candidates, class_zero_share, seed)
+    if class_zero_share is not None and zeros is None:
+        raise _bad_share(class_zero_share)
     return candidates
+
+
+def _class_zero_positions(count: int, class_zero_share: float, seed: int) -> set[int] | None:
+    """Positions of the round(share * count) class-zero members, by seeded
+    shuffle, or None if the share does not lie strictly between 0 and 1."""
+    if not 0.0 < class_zero_share < 1.0:
+        return None
+    zero_count = _round_half_up(class_zero_share * count)
+    return set(int(i) for i in np.random.default_rng(seed).permutation(count)[:zero_count])
+
+
+def _bad_share(class_zero_share: float) -> ValueError:
+    return ValueError(f"class_zero_share must lie strictly between 0 and 1, got {class_zero_share}")
 
 
 def reassign_attributes(
     candidates: Sequence[Candidate], class_zero_share: float, seed: int
 ) -> list[Candidate]:
     """Return a copy with exactly round(share * n) class-zero members, seeded."""
-    if not 0.0 < class_zero_share < 1.0:
-        raise ValueError(f"class_zero_share must lie strictly between 0 and 1, got {class_zero_share}")
-    zero_count = _round_half_up(class_zero_share * len(candidates))
-    order = np.random.default_rng(seed).permutation(len(candidates))
-    zero_positions = set(int(i) for i in order[:zero_count])
+    zeros = _class_zero_positions(len(candidates), class_zero_share, seed)
+    if zeros is None:
+        raise _bad_share(class_zero_share)
     return [
         Candidate(
             c.id,
-            AttributeClass.ZERO if i in zero_positions else AttributeClass.ONE,
+            AttributeClass.ZERO if i in zeros else AttributeClass.ONE,
             c.cost_profile,
         )
         for i, c in enumerate(candidates)

@@ -35,13 +35,18 @@ def member_loads(team: Team, project: Project) -> list[MemberLoad]:
     return [MemberLoad(member.id, matched_cost(member, project)) for member in team.members]
 
 
+def _class_costs(team: Team, project: Project) -> tuple[list[float], dict[AttributeClass, float]]:
+    """Each member's load, and the loads summed per class in member order."""
+    loads = [matched_cost(member, project) for member in team.members]
+    costs = {AttributeClass.ZERO: 0.0, AttributeClass.ONE: 0.0}
+    for member, load in zip(team.members, loads):
+        costs[member.attribute] += load
+    return loads, costs
+
+
 def cost_for_class(team: Team, project: Project, attribute: AttributeClass) -> float:
     """Team cost restricted to members of one protected-attribute class."""
-    total = 0.0
-    for member in team.members:
-        if member.attribute is attribute:
-            total += matched_cost(member, project)
-    return total
+    return _class_costs(team, project)[1][attribute]
 
 
 def team_cost(team: Team, project: Project) -> float:
@@ -50,16 +55,20 @@ def team_cost(team: Team, project: Project) -> float:
     Computed as the two per-class costs added together, so the class split is
     additive without rounding slack.
     """
-    return cost_for_class(team, project, AttributeClass.ZERO) + cost_for_class(
-        team, project, AttributeClass.ONE
-    )
+    costs = _class_costs(team, project)[1]
+    return costs[AttributeClass.ZERO] + costs[AttributeClass.ONE]
+
+
+def _spread(values: list[float], total: float) -> float:
+    """Population standard deviation of `values` around the mean `total / len(values)`."""
+    mean = total / len(values)
+    return math.sqrt(sum((value - mean) ** 2 for value in values) / len(values))
 
 
 def workload_unevenness(team: Team, project: Project) -> float:
     """Population standard deviation of the members' matched-cost loads."""
     loads = [entry.load for entry in member_loads(team, project)]
-    mean = team_cost(team, project) / len(loads)
-    return math.sqrt(sum((load - mean) ** 2 for load in loads) / len(loads))
+    return _spread(loads, team_cost(team, project))
 
 
 def requirement_costs(team: Team, project: Project) -> list[float]:
@@ -80,9 +89,7 @@ def requirement_costs(team: Team, project: Project) -> list[float]:
 
 def expertise_unevenness(team: Team, project: Project) -> float:
     """Population standard deviation of the per-requirement cost totals."""
-    totals = requirement_costs(team, project)
-    mean = team_cost(team, project) / len(totals)
-    return math.sqrt(sum((total - mean) ** 2 for total in totals) / len(totals))
+    return _spread(requirement_costs(team, project), team_cost(team, project))
 
 
 def representation_parity(team: Team) -> float:
@@ -92,22 +99,30 @@ def representation_parity(team: Team) -> float:
     return abs(zeros - ones) / len(team)
 
 
-def cost_difference(team: Team, project: Project) -> float:
-    """Absolute difference of the two per-class costs, normalized by team cost."""
-    zero_cost = cost_for_class(team, project, AttributeClass.ZERO)
-    one_cost = cost_for_class(team, project, AttributeClass.ONE)
-    total = zero_cost + one_cost
+def _normalized_gap(costs: dict[AttributeClass, float]) -> float:
+    total = costs[AttributeClass.ZERO] + costs[AttributeClass.ONE]
     if total == 0.0:
         raise ValueError("cost difference is undefined for a team with zero matched cost")
-    return abs(zero_cost - one_cost) / total
+    return abs(costs[AttributeClass.ZERO] - costs[AttributeClass.ONE]) / total
+
+
+def cost_difference(team: Team, project: Project) -> float:
+    """Absolute difference of the two per-class costs, normalized by team cost."""
+    return _normalized_gap(_class_costs(team, project)[1])
 
 
 def objective_vector(team: Team, project: Project) -> ObjectiveVector:
-    """Bundle all five objectives; components match the individual functions."""
+    """Bundle all five objectives; components match the individual functions.
+
+    The member loads and class costs are computed once and shared by the
+    components, in the same summation order the individual functions use.
+    """
+    loads, costs = _class_costs(team, project)
+    total = costs[AttributeClass.ZERO] + costs[AttributeClass.ONE]
     return ObjectiveVector(
-        cost=team_cost(team, project),
-        workload=workload_unevenness(team, project),
-        expertise=expertise_unevenness(team, project),
+        cost=total,
+        workload=_spread(loads, total),
+        expertise=_spread(requirement_costs(team, project), total),
         representation=representation_parity(team),
-        cost_difference=cost_difference(team, project),
+        cost_difference=_normalized_gap(costs),
     )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fairteams import (
+    AssemblyDiagnostics,
     AssemblyParams,
     AttributeClass,
     Candidate,
@@ -32,6 +33,7 @@ from fairteams import (
     project_rng,
     synthesize_pool,
 )
+from fairteams.assembly import _select_index
 from fairteams.data_io import skill_universe
 from test_pareto import oracle_front_indices
 
@@ -369,6 +371,141 @@ def test_top_sum_pick_survives_global_rescaling(small_pool, small_project):
     base = assemble_multi_objective(small_pool, small_project, params)
     scaled = assemble_multi_objective(scaled_pool, small_project, params)
     assert base.team.member_ids() == scaled.team.member_ids()
+
+
+# -- de-duplicated pipeline against the per-copy pipeline ----------------------
+
+
+def _per_copy_reference(pool, project, team_size, num_teams, seed):
+    """The pipeline without de-duplication: every sampled copy is scored and
+    enters the team front. Returns the diagnostics and, per mode, the picked
+    (team, vector), using the assembler's own pick rule."""
+    rng = project_rng(seed, project.id)
+    try:
+        matching = filter_candidates(pool, project)
+    except InfeasibleProjectError:
+        matching = []
+    front = pareto_candidates(matching, project) if matching else []
+    teams = form_random_teams(front, num_teams, team_size, rng) if front else []
+    wanted = len(project.requirements)
+    covered = [team for team in teams if coverage(team, project) == wanted]
+    vectors = [objective_vector(team, project) for team in covered]
+    kept = pareto_front([(i, v.as_tuple()) for i, v in enumerate(vectors)]) if covered else []
+    diagnostics = AssemblyDiagnostics(
+        pool_size=len(pool),
+        filtered_size=len(matching),
+        pareto_candidate_count=len(front),
+        teams_sampled=len(teams),
+        full_coverage_count=len(covered),
+        pareto_team_count=len(kept),
+        candidate_reduction=1.0 - len(front) / len(matching) if matching else 0.0,
+        team_reduction=1.0 - len(kept) / len(covered) if covered else 0.0,
+        used_fallback_team=bool(matching) and len(front) < team_size,
+    )
+    picks = {}
+    for mode in ALL_MODES:
+        index = _select_index(covered, vectors, kept, mode, rng) if kept else None
+        picks[mode] = (None, None) if index is None else (covered[index], vectors[index])
+    return diagnostics, picks
+
+
+def _ring_instance(rng):
+    """Four incomparable two-skill candidates around four requirements, plus a
+    dominated copy and an idle candidate: the candidate front holds
+    team_size + 1 = 4 people, so only C(4, 3) = 4 distinct teams exist, and
+    each covers the project."""
+    reqs = ["r0", "r1", "r2", "r3"]
+    pool = [
+        _candidate(
+            f"ring-{k}",
+            AttributeClass(int(rng.integers(2))),
+            {reqs[k]: float(rng.uniform(0.1, 1.0)), reqs[(k + 1) % 4]: float(rng.uniform(0.1, 1.0))},
+        )
+        for k in range(4)
+    ]
+    costly = {skill: cost * 2.0 for skill, cost in pool[0].cost_profile.items()}
+    pool += [
+        _candidate("costly-copy", AttributeClass.ZERO, costly),
+        _candidate("idle", AttributeClass.ONE, {"x": 0.5}),
+    ]
+    return pool, Project("ring", frozenset(reqs)), 3
+
+
+def _fallback_instance(rng):
+    pool = [
+        _candidate("a-only", AttributeClass.ZERO, {"a": float(rng.uniform(0.1, 1.0))}),
+        _candidate("b-only", AttributeClass.ONE, {"b": float(rng.uniform(0.1, 1.0))}),
+        _candidate("idle-1", AttributeClass.ZERO, {"x": 1.0}),
+        _candidate("idle-2", AttributeClass.ONE, {"y": 1.0}),
+    ]
+    return pool, Project("narrow", frozenset({"a", "b"})), 3
+
+
+def _uncoverable_instance(rng):
+    """Five single-skill specialists and teams of three: the candidate front is
+    large enough to sample from, but no team covers all five requirements."""
+    reqs = [f"r{k}" for k in range(5)]
+    pool = [
+        _candidate(f"only-{skill}", AttributeClass(k % 2), {skill: float(rng.uniform(0.1, 1.0))})
+        for k, skill in enumerate(reqs)
+    ]
+    pool.append(_candidate("idle", AttributeClass.ONE, {"x": 0.5}))
+    return pool, Project("spread", frozenset(reqs)), 3
+
+
+def _infeasible_instance(rng):
+    pool = synthesize_pool(SynthesisSpec(pool_size=20, skill_universe_size=8, seed=int(rng.integers(99))))
+    return pool, Project("misfit", frozenset({"zz-unknown"})), 4
+
+
+def _synthetic_instance(rng):
+    spec = SynthesisSpec(
+        pool_size=int(rng.integers(8, 40)),
+        skill_universe_size=8,
+        min_skills=1,
+        max_skills=4,
+        class_zero_share=0.5,
+        seed=int(rng.integers(10_000)),
+    )
+    picked = rng.choice(8, size=int(rng.integers(2, 6)), replace=False)
+    project = Project("synth", frozenset(skill_universe(8)[i] for i in picked))
+    return synthesize_pool(spec), project, int(rng.integers(3, 6))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_ring_instance, _fallback_instance, _uncoverable_instance, _infeasible_instance, _synthetic_instance],
+)
+def test_dedup_pipeline_equals_per_copy_pipeline(build):
+    rng = np.random.default_rng(61)
+    for trial in range(12):
+        pool, project, team_size = build(rng)
+        num_teams = int(rng.choice([1, 7, 60, 250]))
+        seed = int(rng.integers(2**32))
+        want_diagnostics, picks = _per_copy_reference(pool, project, team_size, num_teams, seed)
+        outcomes = assemble_all_selections(
+            pool, project, team_size=team_size, num_teams=num_teams, seed=seed
+        )
+        for mode, outcome in outcomes.items():
+            want_team, want_vector = picks[mode]
+            assert outcome.diagnostics == want_diagnostics
+            assert outcome.team == want_team
+            if want_vector is None:
+                assert outcome.objectives is None
+            else:
+                assert outcome.objectives.as_tuple() == want_vector.as_tuple()
+
+
+def test_ring_instance_front_counts_every_copy():
+    pool, project, team_size = _ring_instance(np.random.default_rng(3))
+    outcome = assemble_all_selections(
+        pool, project, team_size=team_size, num_teams=200, seed=8
+    )[SelectionMode.TOP_SUM]
+    diagnostics = outcome.diagnostics
+    assert diagnostics.pareto_candidate_count == team_size + 1
+    assert diagnostics.full_coverage_count == 200
+    # at most four distinct teams, yet every sampled copy of a front team counts
+    assert diagnostics.pareto_team_count > 4
 
 
 # -- greedy baselines ---------------------------------------------------------

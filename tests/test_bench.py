@@ -194,3 +194,48 @@ def test_run_benchmark_validates_inputs(corpus):
         run_benchmark(pool, projects, [], team_size=3, num_teams=10, seed=0)
     with pytest.raises(ValueError):
         run_benchmark(pool, projects, team_size=3, num_teams=10, seed=0, jobs=0)
+
+
+class _InProcessExecutor:
+    """Stands in for ProcessPoolExecutor: runs the worker initializer and map in-process."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_jobs_capped_to_one_project_runs_serially(corpus, monkeypatch):
+    def no_processes(*args, **kwargs):
+        raise AssertionError("a single project must not start worker processes")
+
+    monkeypatch.setattr("fairteams.bench.ProcessPoolExecutor", no_processes)
+    pool, projects = corpus
+    capped = run_benchmark(
+        pool, projects[:1], team_size=3, num_teams=80, seed=9, jobs=10**9
+    )
+    assert capped == run_benchmark(pool, projects[:1], team_size=3, num_teams=80, seed=9)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers", [(10**9, 2, 2), (10**9, None, None), (3, 64, 3), (10**9, 64, 6)]
+)
+def test_jobs_capped_to_projects_and_cpus(corpus, monkeypatch, jobs, cpus, workers):
+    started = []
+
+    def executor(**kwargs):
+        started.append(kwargs["max_workers"])
+        return _InProcessExecutor(**kwargs)
+
+    monkeypatch.setattr("fairteams.bench._WORKER_ARGS", None)
+    monkeypatch.setattr("fairteams.bench.ProcessPoolExecutor", executor)
+    monkeypatch.setattr("fairteams.bench.os.cpu_count", lambda: cpus)
+    assert _run(corpus, jobs=jobs) == _run(corpus)
+    assert started == ([workers] if workers else [])

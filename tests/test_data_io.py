@@ -202,6 +202,26 @@ def test_load_pool_override_applies_reassignment(tmp_path):
     assert sum(c.attribute is AttributeClass.ZERO for c in pool) == 5
 
 
+@pytest.mark.parametrize("name", ["pool.csv", "pool.json"])
+@pytest.mark.parametrize("share, seed", [(0.1, 0), (0.5, 3), (0.73, 11)])
+def test_load_pool_share_equals_reassigning_the_loaded_pool(tmp_path, name, share, seed):
+    path = tmp_path / name
+    save_pool(_flat_pool(40), path)
+    loaded = load_pool(path, class_zero_share=share, seed=seed)
+    assert loaded == reassign_attributes(load_pool(path), share, seed)
+
+
+def test_load_pool_reports_a_bad_file_before_a_bad_share(tmp_path):
+    path = _write(tmp_path, "pool.csv", "id,cost,attribute,skills\nu1,free,1,java\n")
+    with pytest.raises(DataFormatError, match="line 2"):
+        load_pool(path, class_zero_share=1.5)
+    empty = _write(tmp_path, "empty.csv", "id,cost,attribute,skills\n")
+    with pytest.raises(DataFormatError, match="no candidate records"):
+        load_pool(empty, class_zero_share=1.5)
+    with pytest.raises(ValueError, match="class_zero_share"):
+        load_pool(_write(tmp_path, "ok.csv", POOL_CSV), class_zero_share=1.5)
+
+
 # -- serialization ---------------------------------------------------------------
 
 

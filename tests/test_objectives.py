@@ -208,6 +208,25 @@ def test_vector_matches_naive_oracle_on_random_teams():
         assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_vector_equals_individual_functions_bit_for_bit():
+    rng = np.random.default_rng(4242)
+    for _ in range(2000):
+        team, project = random_team_instance(rng)
+        assert objective_vector(team, project).as_tuple() == (
+            team_cost(team, project),
+            workload_unevenness(team, project),
+            expertise_unevenness(team, project),
+            representation_parity(team),
+            cost_difference(team, project),
+        )
+
+
+def test_vector_rejects_a_team_with_zero_matched_cost():
+    team = Team([Candidate("c", AttributeClass.ZERO, {"z": 1.0})])
+    with pytest.raises(ValueError, match="zero matched cost"):
+        objective_vector(team, Project("p", frozenset({"a"})))
+
+
 @st.composite
 def team_instances(draw):
     skills = [f"s{i}" for i in range(8)]

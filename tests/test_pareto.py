@@ -46,6 +46,7 @@ def test_front_basic_example():
 def test_front_retains_all_duplicates():
     items = [(i, (1.0, 1.0)) for i in range(5)]
     assert pareto_front(items) == [0, 1, 2, 3, 4]
+    assert pareto_front([(i, ()) for i in range(3)]) == [0, 1, 2]
 
 
 def test_front_preserves_input_order():
@@ -167,3 +168,56 @@ def test_front_unchanged_by_scaling_one_coordinate(vectors, factor, axis_pick):
         for vector in vectors
     ]
     assert set(pareto_front(list(enumerate(scaled)))) == baseline
+
+
+def all_pairs_front(vectors) -> list[int]:
+    """Scalar reference: every index that no other vector dominates, in order."""
+    return [
+        i
+        for i, mine in enumerate(vectors)
+        if not any(dominates(other, mine) for other in vectors)
+    ]
+
+
+# small integers give ties and duplicates; the sizes cross the sweep's
+# 128-point block boundary
+PALETTE_COORDINATE = st.one_of(
+    st.integers(min_value=-2, max_value=3).map(float),
+    st.just(INF),
+    st.just(-INF),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def large_populations(draw):
+    dim = draw(st.integers(min_value=1, max_value=8))
+    size = draw(st.integers(min_value=1, max_value=300))
+    palette = draw(st.lists(PALETTE_COORDINATE, min_size=1, max_size=10))
+    cells = draw(st.binary(min_size=size * dim, max_size=size * dim))
+    return [
+        tuple(palette[b % len(palette)] for b in cells[row * dim : (row + 1) * dim])
+        for row in range(size)
+    ]
+
+
+@settings(deadline=None, max_examples=60)
+@given(large_populations(), st.data())
+def test_front_matches_all_pairs_reference_in_input_order(vectors, data):
+    keys = data.draw(st.permutations(range(len(vectors))))
+    front = pareto_front(list(zip(keys, vectors)))
+    assert front == [keys[i] for i in all_pairs_front(vectors)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(large_populations(), st.data())
+def test_front_rejects_nan_and_ragged_anywhere(vectors, data):
+    position = data.draw(st.integers(min_value=0, max_value=len(vectors) - 1))
+    row = list(vectors[position])
+    row[data.draw(st.integers(min_value=0, max_value=len(row) - 1))] = math.nan
+    with_nan = vectors[:position] + [tuple(row)] + vectors[position + 1 :]
+    with pytest.raises(ValueError, match="NaN"):
+        pareto_front(list(enumerate(with_nan)))
+    ragged = vectors + [vectors[position] + (0.0,)]
+    with pytest.raises(ValueError, match="length"):
+        pareto_front(list(enumerate(ragged)))
