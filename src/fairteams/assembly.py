@@ -125,6 +125,44 @@ def filter_candidates(pool: Sequence[Candidate], project: Project) -> list[Candi
     return kept
 
 
+@dataclass(frozen=True)
+class ProjectView:
+    """One project's view of the pool, shared by every assembler.
+
+    `matching` holds the candidates offering at least one requirement, in pool
+    order, and is empty when none does. `loads[i]` is `matched_cost` of
+    `matching[i]`; bit j of `masks[i]` is set when it offers
+    `project.sorted_requirements[j]`.
+    """
+
+    matching: list[Candidate]
+    loads: list[float]
+    masks: list[int]
+
+
+def project_view(pool: Sequence[Candidate], project: Project) -> ProjectView:
+    """Filter the pool once for `project`; an empty pool gives an empty view.
+
+    The assemblers report an empty pool themselves, each in its own order.
+    """
+    matching: list[Candidate] = []
+    if pool:
+        try:
+            matching = filter_candidates(pool, project)
+        except InfeasibleProjectError:
+            pass
+    bits = [(1 << j, skill) for j, skill in enumerate(project.sorted_requirements)]
+    masks = []
+    for candidate in matching:
+        profile = candidate.cost_profile
+        mask = 0
+        for bit, skill in bits:
+            if skill in profile:
+                mask |= bit
+        masks.append(mask)
+    return ProjectView(matching, [matched_cost(c, project) for c in matching], masks)
+
+
 def candidate_scores(candidate: Candidate, project: Project) -> tuple[float, ...]:
     """Per-requirement cost vector; +inf marks a requirement not offered."""
     return tuple(
@@ -177,7 +215,10 @@ class _PipelineState:
 
 
 def _run_pipeline(
-    pool: Sequence[Candidate], project: Project, params: AssemblyParams
+    pool: Sequence[Candidate],
+    project: Project,
+    params: AssemblyParams,
+    view: ProjectView | None,
 ) -> _PipelineState:
     if params.team_size >= len(pool):
         raise ValueError(
@@ -195,12 +236,12 @@ def _run_pipeline(
         used_fallback=False,
         rng=rng,
     )
-    try:
-        matching = filter_candidates(pool, project)
-    except InfeasibleProjectError:
+    if view is None:
+        view = project_view(pool, project)
+    if not view.matching:
         return state
-    state.filtered_size = len(matching)
-    state.front_candidates = pareto_candidates(matching, project)
+    state.filtered_size = len(view.matching)
+    state.front_candidates = pareto_candidates(view.matching, project)
     state.used_fallback = len(state.front_candidates) < params.team_size
     state.teams = form_random_teams(
         state.front_candidates, params.num_teams, params.team_size, rng
@@ -306,16 +347,18 @@ def assemble_all_selections(
     num_teams: int,
     seed: int,
     selections: Iterable[SelectionMode] = tuple(SelectionMode),
+    view: ProjectView | None = None,
 ) -> dict[SelectionMode, AssemblyOutcome]:
     """One pipeline run, one outcome per distinct selection mode.
 
     Equivalent to calling `assemble_multi_objective` once per mode with the
     same seed: the sampling draws are shared, and only `random` reads the
-    generator after sampling, once, however the modes are ordered.
+    generator after sampling, once, however the modes are ordered. `view`,
+    if given, must be `project_view(pool, project)`; it is built when absent.
     """
     modes = list(dict.fromkeys(selections))
     params = AssemblyParams(team_size=team_size, num_teams=num_teams, seed=seed, selection=modes[0])
-    state = _run_pipeline(pool, project, params)
+    state = _run_pipeline(pool, project, params, view)
     diagnostics = _diagnostics(state)
     outcomes: dict[SelectionMode, AssemblyOutcome] = {}
     for mode in modes:
@@ -341,31 +384,32 @@ def _baseline_diagnostics(pool_size: int, filtered_size: int) -> AssemblyDiagnos
 
 
 def _best_addition(
-    candidates: Sequence[Candidate],
+    view: ProjectView,
+    uncovered: int,
     chosen_ids: set[str],
-    covered: set[str],
-    project: Project,
     attribute: AttributeClass | None,
-) -> Candidate | None:
-    """Cheapest-per-new-requirement candidate; ties by lower cost, then id."""
-    best: Candidate | None = None
+) -> int | None:
+    """Index of the cheapest-per-new-requirement candidate; ties by lower cost, then id.
+
+    `uncovered` is the mask of requirements no chosen member offers yet, so a
+    chosen member adds nothing; `chosen_ids` also bars another pool entry
+    sharing a chosen id.
+    """
+    best: int | None = None
     best_key: tuple[float, float, str] | None = None
-    for candidate in candidates:
-        if candidate.id in chosen_ids:
+    for i, mask in enumerate(view.masks):
+        newly_covered = (mask & uncovered).bit_count()
+        if not newly_covered:
             continue
+        candidate = view.matching[i]
         if attribute is not None and candidate.attribute is not attribute:
             continue
-        newly_covered = sum(
-            1
-            for skill in project.sorted_requirements
-            if skill not in covered and skill in candidate.cost_profile
-        )
-        if newly_covered == 0:
+        if candidate.id in chosen_ids:
             continue
-        load = matched_cost(candidate, project)
+        load = view.loads[i]
         key = (load / newly_covered, load, candidate.id)
         if best_key is None or key < best_key:
-            best, best_key = candidate, key
+            best, best_key = i, key
     return best
 
 
@@ -381,52 +425,64 @@ def _preferred_class(
 
 
 def _greedy_assemble(
-    pool: Sequence[Candidate], project: Project, method: str, balance_classes: bool
+    pool: Sequence[Candidate],
+    project: Project,
+    method: str,
+    balance_classes: bool,
+    view: ProjectView | None,
 ) -> AssemblyOutcome:
     if not pool:
         raise ValueError("candidate pool is empty")
-    matching = [c for c in pool if not project.requirements.isdisjoint(c.cost_profile)]
-    diagnostics = _baseline_diagnostics(len(pool), len(matching))
+    if view is None:
+        view = project_view(pool, project)
+    diagnostics = _baseline_diagnostics(len(pool), len(view.matching))
 
     chosen: list[Candidate] = []
     chosen_ids: set[str] = set()
-    covered: set[str] = set()
+    uncovered = (1 << len(project.sorted_requirements)) - 1
     counts = {AttributeClass.ZERO: 0, AttributeClass.ONE: 0}
     costs = {AttributeClass.ZERO: 0.0, AttributeClass.ONE: 0.0}
-    while covered != project.requirements:
+    while uncovered:
         if balance_classes:
             preferred = _preferred_class(counts, costs)
-            pick = _best_addition(matching, chosen_ids, covered, project, preferred)
+            pick = _best_addition(view, uncovered, chosen_ids, preferred)
             if pick is None:
-                pick = _best_addition(matching, chosen_ids, covered, project, preferred.other())
+                pick = _best_addition(view, uncovered, chosen_ids, preferred.other())
         else:
-            pick = _best_addition(matching, chosen_ids, covered, project, None)
+            pick = _best_addition(view, uncovered, chosen_ids, None)
         if pick is None:
             return AssemblyOutcome(method, None, None, None, diagnostics)
-        chosen.append(pick)
-        chosen_ids.add(pick.id)
-        covered.update(skill for skill in pick.cost_profile if skill in project.requirements)
-        counts[pick.attribute] += 1
-        costs[pick.attribute] += matched_cost(pick, project)
+        candidate = view.matching[pick]
+        chosen.append(candidate)
+        chosen_ids.add(candidate.id)
+        uncovered &= ~view.masks[pick]
+        counts[candidate.attribute] += 1
+        costs[candidate.attribute] += view.loads[pick]
 
     team = Team(chosen)
     return AssemblyOutcome(method, None, team, objective_vector(team, project), diagnostics)
 
 
-def assemble_incremental(pool: Sequence[Candidate], project: Project) -> AssemblyOutcome:
+def assemble_incremental(
+    pool: Sequence[Candidate], project: Project, *, view: ProjectView | None = None
+) -> AssemblyOutcome:
     """Greedy set-cover baseline: repeatedly add the most cost-effective candidate.
 
     Cost-effectiveness is added matched cost divided by newly covered
     requirements. Stops at full coverage; team size is whatever that takes.
+    `view`, if given, must be `project_view(pool, project)`.
     """
-    return _greedy_assemble(pool, project, "incremental", balance_classes=False)
+    return _greedy_assemble(pool, project, "incremental", balance_classes=False, view=view)
 
 
-def assemble_fair_allocation(pool: Sequence[Candidate], project: Project) -> AssemblyOutcome:
+def assemble_fair_allocation(
+    pool: Sequence[Candidate], project: Project, *, view: ProjectView | None = None
+) -> AssemblyOutcome:
     """Greedy baseline that prefers the currently underrepresented class.
 
     Each step restricts the pick to the attribute class with fewer members so
     far (ties: lower accumulated class cost, then class zero) and falls back
     to the other class when no preferred-class candidate adds coverage.
+    `view`, if given, must be `project_view(pool, project)`.
     """
-    return _greedy_assemble(pool, project, "fair-alloc", balance_classes=True)
+    return _greedy_assemble(pool, project, "fair-alloc", balance_classes=True, view=view)

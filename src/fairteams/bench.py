@@ -22,6 +22,7 @@ from .assembly import (
     assemble_all_selections,
     assemble_fair_allocation,
     assemble_incremental,
+    project_view,
 )
 from .model import OBJECTIVE_NAMES, Candidate, Project
 
@@ -92,10 +93,17 @@ def _evaluate_project(
     num_teams: int,
     seed: int,
 ) -> list[OutcomeRecord]:
+    view = project_view(pool, project)
     modes = [t.selection for t in targets if t.method == "multi"]
     multi = (
         assemble_all_selections(
-            pool, project, team_size=team_size, num_teams=num_teams, seed=seed, selections=modes
+            pool,
+            project,
+            team_size=team_size,
+            num_teams=num_teams,
+            seed=seed,
+            selections=modes,
+            view=view,
         )
         if modes
         else {}
@@ -103,9 +111,9 @@ def _evaluate_project(
     records = []
     for target in targets:
         if target.method == "incremental":
-            outcome = assemble_incremental(pool, project)
+            outcome = assemble_incremental(pool, project, view=view)
         elif target.method == "fair-alloc":
-            outcome = assemble_fair_allocation(pool, project)
+            outcome = assemble_fair_allocation(pool, project, view=view)
         else:
             outcome = multi[target.selection]
         records.append(OutcomeRecord(project.id, target, outcome))

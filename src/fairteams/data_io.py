@@ -11,7 +11,10 @@ Two interchangeable on-disk formats, picked by extension:
 
 A candidate record declares one cost; the loaded cost profile maps every
 listed skill to that declared cost. Ids and skill tokens may not contain
-``;``.
+``;``. The pool's total S, the sum of cost x skill count over its records,
+bounds every objective term of every team, and each spread's sum of squares
+is at most about S**2. A pool whose S exceeds sqrt(max float / 2) is
+rejected, so that 2 S**2 stays finite.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -30,6 +34,7 @@ from .model import AttributeClass, Candidate, Project
 _ATTRIBUTE_TOKENS = {"0": AttributeClass.ZERO, "1": AttributeClass.ONE}
 _POOL_COLUMNS = ("id", "cost", "attribute", "skills")
 _PROJECT_COLUMNS = ("id", "skills")
+_MAX_POOL_TOTAL = math.sqrt(sys.float_info.max / 2)
 
 
 class DataFormatError(ValueError):
@@ -122,6 +127,7 @@ def load_pool(
         zeros = _class_zero_positions(len(records), class_zero_share, seed)
     candidates: list[Candidate] = []
     seen: set[str] = set()
+    total = 0.0
     for i, (where, (cid, raw_cost, attr_token, skills)) in enumerate(records):
         attr_token = attr_token.strip()
         if not cid:
@@ -138,6 +144,14 @@ def load_pool(
             _fail(path, where, f"unknown attribute token {attr_token!r}, expected 0 or 1")
         if not skills:
             _fail(path, where, "skill list must be non-empty")
+        total += cost * len(skills)
+        if total > _MAX_POOL_TOTAL:
+            _fail(
+                path,
+                where,
+                f"cost x skill count summed over the pool so far is {total!r}, above"
+                f" {_MAX_POOL_TOTAL:.4g}; team objectives could overflow",
+            )
         seen.add(cid)
         attribute = _ATTRIBUTE_TOKENS[attr_token]
         if zeros is not None:

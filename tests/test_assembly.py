@@ -7,9 +7,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairteams import (
     AssemblyDiagnostics,
+    AssemblyOutcome,
     AssemblyParams,
     AttributeClass,
     Candidate,
@@ -27,13 +30,14 @@ from fairteams import (
     dominates,
     filter_candidates,
     form_random_teams,
+    matched_cost,
     objective_vector,
     pareto_candidates,
     pareto_front,
     project_rng,
     synthesize_pool,
 )
-from fairteams.assembly import _select_index
+from fairteams.assembly import _select_index, project_view
 from fairteams.data_io import skill_universe
 from test_pareto import oracle_front_indices
 
@@ -616,6 +620,125 @@ def test_fair_allocation_balances_where_incremental_does_not():
     plain = assemble_incremental(pool, project)
     assert plain.objectives.representation == 1.0
     assert fair.objectives.representation == 0.0
+
+
+# -- greedy baselines against the scalar reference ------------------------------
+
+
+def _reference_best_addition(candidates, chosen_ids, covered, project, attribute):
+    """The per-step scan over skill sets and `matched_cost` calls."""
+    best = None
+    best_key = None
+    for candidate in candidates:
+        if candidate.id in chosen_ids:
+            continue
+        if attribute is not None and candidate.attribute is not attribute:
+            continue
+        newly_covered = sum(
+            1
+            for skill in project.sorted_requirements
+            if skill not in covered and skill in candidate.cost_profile
+        )
+        if newly_covered == 0:
+            continue
+        load = matched_cost(candidate, project)
+        key = (load / newly_covered, load, candidate.id)
+        if best_key is None or key < best_key:
+            best, best_key = candidate, key
+    return best
+
+
+def _reference_preferred_class(counts, costs):
+    zero, one = AttributeClass.ZERO, AttributeClass.ONE
+    if counts[zero] != counts[one]:
+        return zero if counts[zero] < counts[one] else one
+    if costs[zero] != costs[one]:
+        return zero if costs[zero] < costs[one] else one
+    return zero
+
+
+def _reference_greedy(pool, project, method, balance_classes):
+    """Both greedy baselines as scalar loops over the filtered pool."""
+    if not pool:
+        raise ValueError("candidate pool is empty")
+    matching = [c for c in pool if not project.requirements.isdisjoint(c.cost_profile)]
+    diagnostics = AssemblyDiagnostics(
+        pool_size=len(pool),
+        filtered_size=len(matching),
+        pareto_candidate_count=0,
+        teams_sampled=0,
+        full_coverage_count=0,
+        pareto_team_count=0,
+        candidate_reduction=0.0,
+        team_reduction=0.0,
+    )
+    chosen = []
+    chosen_ids = set()
+    covered = set()
+    counts = {AttributeClass.ZERO: 0, AttributeClass.ONE: 0}
+    costs = {AttributeClass.ZERO: 0.0, AttributeClass.ONE: 0.0}
+    while covered != project.requirements:
+        if balance_classes:
+            preferred = _reference_preferred_class(counts, costs)
+            pick = _reference_best_addition(matching, chosen_ids, covered, project, preferred)
+            if pick is None:
+                pick = _reference_best_addition(
+                    matching, chosen_ids, covered, project, preferred.other()
+                )
+        else:
+            pick = _reference_best_addition(matching, chosen_ids, covered, project, None)
+        if pick is None:
+            return AssemblyOutcome(method, None, None, None, diagnostics)
+        chosen.append(pick)
+        chosen_ids.add(pick.id)
+        covered.update(skill for skill in pick.cost_profile if skill in project.requirements)
+        counts[pick.attribute] += 1
+        costs[pick.attribute] += matched_cost(pick, project)
+    team = Team(chosen)
+    return AssemblyOutcome(method, None, team, objective_vector(team, project), diagnostics)
+
+
+# "x" is offered but never required; "z" is required but never offered
+_GREEDY_OFFERED = ("a", "b", "c", "d", "e", "x")
+_GREEDY_REQUIRED = ("a", "b", "c", "d", "e", "z")
+
+
+@st.composite
+def greedy_instances(draw):
+    """Small pools with costs from a four-value palette, so cost-effectiveness
+    ties are common. Ids repeat, so whole keys tie too; a third of the pools
+    hold one class only."""
+    single_class = draw(st.sampled_from([None, AttributeClass.ZERO, AttributeClass.ONE]))
+    pool = []
+    for _ in range(draw(st.integers(1, 10))):
+        skills = draw(st.lists(st.sampled_from(_GREEDY_OFFERED), min_size=1, max_size=3, unique=True))
+        if single_class is None:
+            attribute = draw(st.sampled_from(AttributeClass))
+        else:
+            attribute = single_class
+        pool.append(
+            _candidate(
+                draw(st.sampled_from(["m0", "m1", "m2", "m3", "m4", "m5"])),
+                attribute,
+                {skill: draw(st.sampled_from([0.5, 1.0, 1.5, 3.0])) for skill in skills},
+            )
+        )
+    requirements = draw(st.sets(st.sampled_from(_GREEDY_REQUIRED), min_size=1, max_size=4))
+    return pool, Project("p", frozenset(requirements))
+
+
+@settings(deadline=None, max_examples=300)
+@given(greedy_instances())
+def test_greedy_baselines_equal_the_scalar_reference(instance):
+    pool, project = instance
+    view = project_view(pool, project)
+    for assemble, method, balance_classes in (
+        (assemble_incremental, "incremental", False),
+        (assemble_fair_allocation, "fair-alloc", True),
+    ):
+        expected = _reference_greedy(pool, project, method, balance_classes)
+        assert assemble(pool, project) == expected
+        assert assemble(pool, project, view=view) == expected
 
 
 def test_all_assemblers_reach_full_coverage(small_pool, small_project):

@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 import pytest
 
 from fairteams import (
     DEFAULT_TARGETS,
+    OutcomeRecord,
     Project,
     RunTarget,
     SelectionMode,
     SynthesisSpec,
     aggregate_records,
+    assemble_all_selections,
+    assemble_fair_allocation,
+    assemble_incremental,
     emit_outcome_log,
     emit_report,
     run_benchmark,
@@ -138,6 +143,58 @@ def test_infeasible_projects_count_as_failures(corpus):
         assert row.formed == 1
     alien_rows = [r for r in records if r.project_id == "alien"]
     assert alien_rows and all(not r.outcome.formed for r in alien_rows)
+
+
+def test_shared_view_equals_separate_assembler_calls():
+    # a class-zero share of 0.1 sends fair-alloc to its fallback class
+    pool = synthesize_pool(
+        SynthesisSpec(
+            pool_size=40, skill_universe_size=10, max_skills=3, class_zero_share=0.1, seed=21
+        )
+    )
+    projects = [
+        *synthesize_projects(8, 10, min_requirements=2, max_requirements=5, seed=22),
+        Project("alien", frozenset({"zz-nowhere"})),
+    ]
+    _, records = run_benchmark(pool, projects, team_size=3, num_teams=60, seed=5)
+    expected = []
+    for project in projects:
+        multi = assemble_all_selections(pool, project, team_size=3, num_teams=60, seed=5)
+        separate = {
+            "incremental": assemble_incremental(pool, project),
+            "fair-alloc": assemble_fair_allocation(pool, project),
+        }
+        for target in DEFAULT_TARGETS:
+            outcome = multi[target.selection] if target.method == "multi" else separate[target.method]
+            expected.append(OutcomeRecord(project.id, target, outcome))
+    assert records == expected
+    assert not any(r.outcome.formed for r in records if r.project_id == "alien")
+
+
+@pytest.mark.parametrize(
+    "pool_size, targets, team_size, message",
+    [
+        (0, DEFAULT_TARGETS, 3, "team_size 3 must be smaller than the pool (0 candidates)"),
+        (0, DEFAULT_TARGETS, 2, "team_size must be at least 3, got 2"),
+        (0, [RunTarget("fair-alloc"), RunTarget("incremental")], 3, "candidate pool is empty"),
+        (3, DEFAULT_TARGETS, 3, "team_size 3 must be smaller than the pool (3 candidates)"),
+        (3, [RunTarget("incremental"), RunTarget("fair-alloc")], 3, None),
+    ],
+    ids=["empty", "size-checked-first", "greedy-only-empty", "pool-too-small", "greedy-only-small"],
+)
+def test_pool_errors_keep_their_messages_and_order(corpus, pool_size, targets, team_size, message):
+    pool, projects = corpus
+
+    def run():
+        return run_benchmark(
+            pool[:pool_size], projects, targets, team_size=team_size, num_teams=10, seed=0
+        )
+
+    if message is None:
+        assert run()[0].project_count == len(projects)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run()
 
 
 def test_aggregate_matches_run_benchmark(corpus):

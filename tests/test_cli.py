@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 
 import pytest
 
@@ -136,6 +137,30 @@ def test_data_errors_exit_2(data, tmp_path, capsys):
     ]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
+
+
+@pytest.mark.parametrize("name, where", [("huge.csv", "line 2"), ("huge.json", "record 1")])
+@pytest.mark.parametrize("command", ["bench", "assemble"])
+def test_overflowing_pool_is_a_data_error(data, tmp_path, capsys, name, where, command):
+    # five candidates at 1e308: every team cost overflows to inf
+    _, projects = data
+    pool = tmp_path / name
+    records = [
+        {"id": f"u{i}", "cost": 1e308, "attribute": str(i % 2), "skills": ["java", "sql"]}
+        for i in range(1, 6)
+    ]
+    if name.endswith(".json"):
+        pool.write_text(json.dumps(records), encoding="utf-8")
+    else:
+        lines = [f"{r['id']},{r['cost']!r},{r['attribute']},java;sql" for r in records]
+        pool.write_text("id,cost,attribute,skills\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    argv = [command, "--pool", str(pool), "--projects", str(projects), "--team-size", "3"]
+    if command == "bench":
+        argv += ["--out", str(tmp_path / "r.csv"), "--log", str(tmp_path / "r.log")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {pool}: {where}: ")
+    assert "could overflow" in err
 
 
 def test_infeasible_outcomes_exit_3(data, tmp_path, capsys):

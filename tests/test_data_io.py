@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -10,7 +11,11 @@ from fairteams import (
     AttributeClass,
     Candidate,
     DataFormatError,
+    Project,
     SynthesisSpec,
+    assemble_all_selections,
+    assemble_fair_allocation,
+    assemble_incremental,
     load_pool,
     load_projects,
     reassign_attributes,
@@ -105,6 +110,25 @@ def test_load_pool_json_errors_name_the_record(tmp_path):
     path = _write(tmp_path, "skill.json", json.dumps(records))
     with pytest.raises(DataFormatError, match="record 2: ';'"):
         load_pool(path)
+
+
+def test_load_pool_bound_keeps_objectives_finite(tmp_path):
+    # cost x skill count sums to 2**511, just under sqrt(max float / 2); one
+    # heavy member against cheap ones puts each spread's squares near 2**1022
+    rows = [f"heavy,{2.0**510!r},0,a;b"] + [f"cheap{i},1.0,{i % 2},{'ab'[i % 2]}" for i in range(3)]
+    text = "id,cost,attribute,skills\n" + "\n".join(rows) + "\n"
+    pool = load_pool(_write(tmp_path, "edge.csv", text))
+    project = Project("p", frozenset({"a", "b"}))
+    outcomes = [
+        assemble_incremental(pool, project),
+        assemble_fair_allocation(pool, project),
+        *assemble_all_selections(pool, project, team_size=3, num_teams=20, seed=1).values(),
+    ]
+    assert all(o.formed and all(map(math.isfinite, o.objectives.as_tuple())) for o in outcomes)
+    assert max(o.objectives.workload for o in outcomes) > 2.0**509
+    text += "over,3e153,1,a\n"
+    with pytest.raises(DataFormatError, match="line 6: .*could overflow"):
+        load_pool(_write(tmp_path, "over.csv", text))
 
 
 def test_load_pool_rejects_wrong_header_and_empty_file(tmp_path):
