@@ -52,26 +52,6 @@ _MAX_SEED = 2**64
 
 
 @dataclass(frozen=True)
-class AssemblyParams:
-    """Knobs of the multi-objective assembler."""
-
-    team_size: int
-    num_teams: int
-    seed: int
-    selection: SelectionMode
-
-    def __post_init__(self) -> None:
-        if self.team_size < 3:
-            raise ValueError(f"team_size must be at least 3, got {self.team_size}")
-        if self.num_teams < 1:
-            raise ValueError(f"num_teams must be at least 1, got {self.num_teams}")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if not isinstance(self.selection, SelectionMode):
-            raise ValueError("selection must be a SelectionMode")
-
-
-@dataclass(frozen=True)
 class AssemblyDiagnostics:
     """Counts and reduction fractions observed along the pipeline.
 
@@ -201,67 +181,53 @@ def form_random_teams(
     return teams
 
 
-@dataclass
-class _PipelineState:
-    pool_size: int
-    filtered_size: int
-    front_candidates: list[Candidate]
-    teams: list[Team]
-    covered: list[Team]
-    vectors: list[ObjectiveVector]
-    front_indices: list[int]
-    used_fallback: bool
-    rng: np.random.Generator
-
-
 def _run_pipeline(
     pool: Sequence[Candidate],
     project: Project,
-    params: AssemblyParams,
+    team_size: int,
+    num_teams: int,
+    rng: np.random.Generator,
     view: ProjectView | None,
-) -> _PipelineState:
-    if params.team_size >= len(pool):
-        raise ValueError(
-            f"team_size {params.team_size} must be smaller than the pool ({len(pool)} candidates)"
-        )
-    rng = project_rng(params.seed, project.id)
-    state = _PipelineState(
-        pool_size=len(pool),
-        filtered_size=0,
-        front_candidates=[],
-        teams=[],
-        covered=[],
-        vectors=[],
-        front_indices=[],
-        used_fallback=False,
-        rng=rng,
-    )
+) -> tuple[AssemblyDiagnostics, list[Team], list[ObjectiveVector], list[int]]:
+    """Sample teams and take their front: the diagnostics, the covering teams,
+    their objective vectors and the front's indices among them."""
     if view is None:
         view = project_view(pool, project)
-    if not view.matching:
-        return state
-    state.filtered_size = len(view.matching)
-    state.front_candidates = pareto_candidates(view.matching, project)
-    state.used_fallback = len(state.front_candidates) < params.team_size
-    state.teams = form_random_teams(
-        state.front_candidates, params.num_teams, params.team_size, rng
+    front_candidates: list[Candidate] = []
+    teams: list[Team] = []
+    covered: list[Team] = []
+    vectors: list[ObjectiveVector] = []
+    front_indices: list[int] = []
+    if view.matching:
+        front_candidates = pareto_candidates(view.matching, project)
+        teams = form_random_teams(front_candidates, num_teams, team_size, rng)
+        wanted = len(project.requirements)
+        covered = [team for team in teams if coverage(team, project) == wanted]
+    if covered:
+        # Copies of a team share their objectives and never dominate each other,
+        # so each distinct member set is scored once and the front over the
+        # distinct vectors is expanded back to every covered copy.
+        ids = [team.member_ids() for team in covered]
+        distinct = {
+            key: objective_vector(team, project)
+            for key, team in dict(zip(ids, covered)).items()
+        }
+        vectors = [distinct[key] for key in ids]
+        front = set(pareto_front([(key, vec.as_tuple()) for key, vec in distinct.items()]))
+        front_indices = [i for i, key in enumerate(ids) if key in front]
+    filtered = len(view.matching)
+    diagnostics = AssemblyDiagnostics(
+        pool_size=len(pool),
+        filtered_size=filtered,
+        pareto_candidate_count=len(front_candidates),
+        teams_sampled=len(teams),
+        full_coverage_count=len(covered),
+        pareto_team_count=len(front_indices),
+        candidate_reduction=1.0 - len(front_candidates) / filtered if filtered else 0.0,
+        team_reduction=1.0 - len(front_indices) / len(covered) if covered else 0.0,
+        used_fallback_team=0 < len(front_candidates) < team_size,
     )
-    wanted = len(project.requirements)
-    state.covered = [team for team in state.teams if coverage(team, project) == wanted]
-    if not state.covered:
-        return state
-    # Copies of a team share their objectives and never dominate each other,
-    # so each distinct member set is scored once and the front over the
-    # distinct vectors is expanded back to every covered copy.
-    ids = [team.member_ids() for team in state.covered]
-    vectors = {
-        key: objective_vector(team, project)
-        for key, team in dict(zip(ids, state.covered)).items()
-    }
-    state.vectors = [vectors[key] for key in ids]
-    front = set(pareto_front([(key, vec.as_tuple()) for key, vec in vectors.items()]))
-    state.front_indices = [i for i, key in enumerate(ids) if key in front]
-    return state
+    return diagnostics, covered, vectors, front_indices
 
 
 def _normalized_sums(vectors: Sequence[ObjectiveVector]) -> list[float]:
@@ -301,44 +267,6 @@ def _select_index(
     return front[best]
 
 
-def _diagnostics(state: _PipelineState) -> AssemblyDiagnostics:
-    front_count = len(state.front_candidates)
-    covered_count = len(state.covered)
-    return AssemblyDiagnostics(
-        pool_size=state.pool_size,
-        filtered_size=state.filtered_size,
-        pareto_candidate_count=front_count,
-        teams_sampled=len(state.teams),
-        full_coverage_count=covered_count,
-        pareto_team_count=len(state.front_indices),
-        candidate_reduction=(
-            1.0 - front_count / state.filtered_size if state.filtered_size else 0.0
-        ),
-        team_reduction=(
-            1.0 - len(state.front_indices) / covered_count if covered_count else 0.0
-        ),
-        used_fallback_team=state.used_fallback,
-    )
-
-
-def assemble_multi_objective(
-    pool: Sequence[Candidate], project: Project, params: AssemblyParams
-) -> AssemblyOutcome:
-    """Run the full two-stage pipeline and pick one team per the configured mode.
-
-    Returns a failure outcome (team None) when no sampled team covers every
-    requirement; diagnostics are populated either way.
-    """
-    return assemble_all_selections(
-        pool,
-        project,
-        team_size=params.team_size,
-        num_teams=params.num_teams,
-        seed=params.seed,
-        selections=(params.selection,),
-    )[params.selection]
-
-
 def assemble_all_selections(
     pool: Sequence[Candidate],
     project: Project,
@@ -349,23 +277,44 @@ def assemble_all_selections(
     selections: Iterable[SelectionMode] = tuple(SelectionMode),
     view: ProjectView | None = None,
 ) -> dict[SelectionMode, AssemblyOutcome]:
-    """One pipeline run, one outcome per distinct selection mode.
+    """Run the two-stage pipeline once; one outcome per distinct selection mode.
 
-    Equivalent to calling `assemble_multi_objective` once per mode with the
-    same seed: the sampling draws are shared, and only `random` reads the
-    generator after sampling, once, however the modes are ordered. `view`,
-    if given, must be `project_view(pool, project)`; it is built when absent.
+    Raises `ValueError`, before any sampling, unless `team_size` is at least
+    3 and smaller than the pool, `num_teams` is at least 1, `seed` fits in
+    64 unsigned bits and `selections` names at least one `SelectionMode` and
+    nothing else. An outcome has no team when no sampled team covers every
+    requirement; its diagnostics are populated either way.
+
+    The modes share the sampling draws, and only `random` reads the generator
+    after sampling, once, so each mode picks what it would pick alone,
+    however the modes are ordered. `view`, if given, must be
+    `project_view(pool, project)`; it is built when absent.
     """
     modes = list(dict.fromkeys(selections))
-    params = AssemblyParams(team_size=team_size, num_teams=num_teams, seed=seed, selection=modes[0])
-    state = _run_pipeline(pool, project, params, view)
-    diagnostics = _diagnostics(state)
+    if team_size < 3:
+        raise ValueError(f"team_size must be at least 3, got {team_size}")
+    if num_teams < 1:
+        raise ValueError(f"num_teams must be at least 1, got {num_teams}")
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    if not modes:
+        raise ValueError("selections must name at least one SelectionMode")
+    if not all(isinstance(mode, SelectionMode) for mode in modes):
+        raise ValueError("selection must be a SelectionMode")
+    if team_size >= len(pool):
+        raise ValueError(
+            f"team_size {team_size} must be smaller than the pool ({len(pool)} candidates)"
+        )
+    rng = project_rng(seed, project.id)
+    diagnostics, covered, vectors, front = _run_pipeline(
+        pool, project, team_size, num_teams, rng, view
+    )
     outcomes: dict[SelectionMode, AssemblyOutcome] = {}
     for mode in modes:
         team = vector = None
-        if state.front_indices:
-            index = _select_index(state.covered, state.vectors, state.front_indices, mode, state.rng)
-            team, vector = state.covered[index], state.vectors[index]
+        if front:
+            index = _select_index(covered, vectors, front, mode, rng)
+            team, vector = covered[index], vectors[index]
         outcomes[mode] = AssemblyOutcome("multi", mode, team, vector, diagnostics)
     return outcomes
 

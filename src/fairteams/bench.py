@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,8 +25,9 @@ from .assembly import (
     project_view,
 )
 from .model import OBJECTIVE_NAMES, Candidate, Project
+from .objectives import _spread
 
-METHODS = ("incremental", "fair-alloc", "multi")
+METHODS = ("multi", "incremental", "fair-alloc")
 
 
 @dataclass(frozen=True)
@@ -133,25 +134,22 @@ def _run_one(project: Project) -> list[OutcomeRecord]:
     return _evaluate_project(pool, project, targets, team_size, num_teams, seed)
 
 
-def _population_std(values: Sequence[float], mean: float) -> float:
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-
-
 def aggregate_records(
     records: Sequence[OutcomeRecord], targets: Sequence[RunTarget], project_count: int
 ) -> RunReport:
     """Ordered reduction: per target, stats over outcomes sorted by project id."""
+    groups: defaultdict[RunTarget, list[OutcomeRecord]] = defaultdict(list)
+    for record in records:
+        groups[record.target].append(record)
     rows = []
     for target in targets:
-        mine = sorted(
-            (r for r in records if r.target == target), key=lambda r: r.project_id
-        )
+        mine = sorted(groups[target], key=lambda r: r.project_id)
         formed = [r.outcome for r in mine if r.outcome.formed]
         means = stds = None
         if formed:
             columns = list(zip(*(o.objectives.as_tuple() for o in formed)))
             means = tuple(sum(col) / len(col) for col in columns)
-            stds = tuple(_population_std(col, mean) for col, mean in zip(columns, means))
+            stds = tuple(_spread(col, sum(col)) for col in columns)
         if target.method == "multi":
             cand_mean = sum(r.outcome.diagnostics.candidate_reduction for r in mine) / len(mine)
             team_mean = sum(r.outcome.diagnostics.team_reduction for r in mine) / len(mine)

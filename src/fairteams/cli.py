@@ -10,15 +10,16 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .assembly import (
-    AssemblyOutcome,
-    AssemblyParams,
-    SelectionMode,
-    assemble_fair_allocation,
-    assemble_incremental,
-    assemble_multi_objective,
+from .assembly import SelectionMode
+from .bench import (
+    DEFAULT_TARGETS,
+    METHODS,
+    OutcomeRecord,
+    RunTarget,
+    emit_outcome_log,
+    emit_report,
+    run_benchmark,
 )
-from .bench import DEFAULT_TARGETS, RunTarget, emit_outcome_log, emit_report, run_benchmark
 from .data_io import (
     DataFormatError,
     SynthesisSpec,
@@ -36,7 +37,6 @@ EXIT_DATA = 2
 EXIT_INFEASIBLE = 3
 
 _CONFIG_TOKENS = tuple(mode.value for mode in SelectionMode)
-_METHOD_TOKENS = ("multi", "incremental", "fair-alloc")
 
 
 class _UsageError(Exception):
@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     one = sub.add_parser("assemble", help="form one team for one project and print it")
     add_io(one)
     one.add_argument("--project-id", default=None, help="project to assemble (default: first)")
-    one.add_argument("--method", choices=_METHOD_TOKENS, default="multi")
+    one.add_argument("--method", choices=METHODS, default="multi")
     one.add_argument("--config", choices=_CONFIG_TOKENS, default="top-sum")
     add_assembly_knobs(one)
 
@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
     add_io(bench)
     bench.add_argument(
         "--method",
-        choices=_METHOD_TOKENS,
+        choices=METHODS,
         action="append",
         default=None,
         help="restrict to a method (repeatable; default: all)",
@@ -120,10 +120,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _print_outcome(project, args, outcome: AssemblyOutcome) -> None:
+def _print_outcome(project, record: OutcomeRecord) -> None:
+    outcome = record.outcome
     diag = outcome.diagnostics
-    label = outcome.method if outcome.selection is None else f"{outcome.method}/{outcome.selection.value}"
-    print(f"project {project.id} ({len(project.requirements)} requirements), method {label}")
+    print(
+        f"project {project.id} ({len(project.requirements)} requirements),"
+        f" method {record.target.label}"
+    )
     if not outcome.formed:
         print("no team formed: no sampled or buildable team covers every requirement")
     else:
@@ -140,7 +143,7 @@ def _print_outcome(project, args, outcome: AssemblyOutcome) -> None:
         f"candidates: {diag.pool_size} in pool, {diag.filtered_size} with matching skills,"
         f" {diag.pareto_candidate_count} kept ({diag.candidate_reduction:.1%} reduction)"
     )
-    if outcome.method == "multi":
+    if record.target.method == "multi":
         print(
             f"teams: {diag.teams_sampled} sampled, {diag.full_coverage_count} full coverage,"
             f" {diag.pareto_team_count} kept ({diag.team_reduction:.1%} reduction)"
@@ -160,24 +163,21 @@ def _cmd_assemble(args) -> int:
             return EXIT_DATA
         project = matches[0]
 
-    if args.method == "incremental":
-        outcome = assemble_incremental(pool, project)
-    elif args.method == "fair-alloc":
-        outcome = assemble_fair_allocation(pool, project)
-    else:
-        params = AssemblyParams(
-            team_size=args.team_size,
-            num_teams=args.num_teams,
-            seed=args.seed,
-            selection=SelectionMode(args.config),
-        )
-        outcome = assemble_multi_objective(pool, project, params)
-    _print_outcome(project, args, outcome)
-    return EXIT_OK if outcome.formed else EXIT_INFEASIBLE
+    selection = SelectionMode(args.config) if args.method == "multi" else None
+    _, (record,) = run_benchmark(
+        pool,
+        [project],
+        [RunTarget(args.method, selection)],
+        team_size=args.team_size,
+        num_teams=args.num_teams,
+        seed=args.seed,
+    )
+    _print_outcome(project, record)
+    return EXIT_OK if record.outcome.formed else EXIT_INFEASIBLE
 
 
 def _bench_targets(args) -> list[RunTarget]:
-    methods = args.method or list(_METHOD_TOKENS)
+    methods = args.method or METHODS
     configs = [SelectionMode(token) for token in (args.config or _CONFIG_TOKENS)]
     targets = []
     for target in DEFAULT_TARGETS:

@@ -164,13 +164,16 @@ def load_pool(
     return candidates
 
 
-def _class_zero_positions(count: int, class_zero_share: float, seed: int) -> set[int] | None:
-    """Positions of the round(share * count) class-zero members, by seeded
-    shuffle, or None if the share does not lie strictly between 0 and 1."""
+def _class_zero_positions(
+    count: int, class_zero_share: float, rng: int | np.random.Generator
+) -> set[int] | None:
+    """Positions of the round(share * count) class-zero members, by a shuffle
+    drawn from `rng` (a generator, or a seed for a fresh one), or None if the
+    share does not lie strictly between 0 and 1."""
     if not 0.0 < class_zero_share < 1.0:
         return None
     zero_count = _round_half_up(class_zero_share * count)
-    return set(int(i) for i in np.random.default_rng(seed).permutation(count)[:zero_count])
+    return set(int(i) for i in np.random.default_rng(rng).permutation(count)[:zero_count])
 
 
 def _bad_share(class_zero_share: float) -> ValueError:
@@ -300,8 +303,7 @@ def synthesize_pool(spec: SynthesisSpec) -> list[Candidate]:
         cost = float(np.exp(rng.uniform(log_low, log_high)))
         drafts.append((f"c{i:0{width}d}", cost, [skills[j] for j in sorted(picked)]))
 
-    zero_count = _round_half_up(spec.class_zero_share * spec.pool_size)
-    zero_positions = set(int(i) for i in rng.permutation(spec.pool_size)[:zero_count])
+    zero_positions = _class_zero_positions(spec.pool_size, spec.class_zero_share, rng)
     return [
         Candidate(
             cid,

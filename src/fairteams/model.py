@@ -56,9 +56,6 @@ class Candidate:
             normalized[skill] = cost
         object.__setattr__(self, "cost_profile", normalized)
 
-    def has_skill(self, skill: SkillId) -> bool:
-        return skill in self.cost_profile
-
 
 @dataclass(frozen=True)
 class Project:

@@ -8,17 +8,9 @@ standard deviations (divide by the count, not count - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 from .model import AttributeClass, Candidate, ObjectiveVector, Project, Team
-
-
-@dataclass(frozen=True)
-class MemberLoad:
-    """One member's share of the team cost: the sum of their matched-skill costs."""
-
-    candidate_id: str
-    load: float
 
 
 def matched_cost(candidate: Candidate, project: Project) -> float:
@@ -29,10 +21,6 @@ def matched_cost(candidate: Candidate, project: Project) -> float:
         if cost is not None:
             total += cost
     return total
-
-
-def member_loads(team: Team, project: Project) -> list[MemberLoad]:
-    return [MemberLoad(member.id, matched_cost(member, project)) for member in team.members]
 
 
 def _class_costs(team: Team, project: Project) -> tuple[list[float], dict[AttributeClass, float]]:
@@ -59,7 +47,7 @@ def team_cost(team: Team, project: Project) -> float:
     return costs[AttributeClass.ZERO] + costs[AttributeClass.ONE]
 
 
-def _spread(values: list[float], total: float) -> float:
+def _spread(values: Sequence[float], total: float) -> float:
     """Population standard deviation of `values` around the mean `total / len(values)`."""
     mean = total / len(values)
     return math.sqrt(sum((value - mean) ** 2 for value in values) / len(values))
@@ -67,8 +55,8 @@ def _spread(values: list[float], total: float) -> float:
 
 def workload_unevenness(team: Team, project: Project) -> float:
     """Population standard deviation of the members' matched-cost loads."""
-    loads = [entry.load for entry in member_loads(team, project)]
-    return _spread(loads, team_cost(team, project))
+    loads, costs = _class_costs(team, project)
+    return _spread(loads, costs[AttributeClass.ZERO] + costs[AttributeClass.ONE])
 
 
 def requirement_costs(team: Team, project: Project) -> list[float]:

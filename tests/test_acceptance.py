@@ -26,7 +26,7 @@ from fairteams import (
     emit_report,
     filter_candidates,
     form_random_teams,
-    member_loads,
+    matched_cost,
     objective_vector,
     pareto_candidates,
     pareto_front,
@@ -135,7 +135,7 @@ def test_criterion_3_objective_property_suite():
 
             assert 0.0 <= vec.representation <= 1.0
             assert 0.0 <= vec.cost_difference <= 1.0
-            assert vec.workload <= max(e.load for e in member_loads(team, project)) + 1e-9
+            assert vec.workload <= max(matched_cost(m, project) for m in team.members) + 1e-9
             assert vec.expertise <= max(requirement_costs(team, project)) + 1e-9
 
 

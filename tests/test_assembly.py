@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from fairteams import (
     AssemblyDiagnostics,
     AssemblyOutcome,
-    AssemblyParams,
     AttributeClass,
     Candidate,
     InfeasibleProjectError,
@@ -24,7 +23,6 @@ from fairteams import (
     assemble_all_selections,
     assemble_fair_allocation,
     assemble_incremental,
-    assemble_multi_objective,
     candidate_scores,
     coverage,
     dominates,
@@ -192,17 +190,6 @@ def test_project_rng_streams_are_stable_and_distinct():
 # -- multi-objective pipeline ------------------------------------------------
 
 
-def test_assembly_params_validation():
-    with pytest.raises(ValueError):
-        AssemblyParams(team_size=2, num_teams=10, seed=0, selection=SelectionMode.RANDOM)
-    with pytest.raises(ValueError):
-        AssemblyParams(team_size=3, num_teams=0, seed=0, selection=SelectionMode.RANDOM)
-    with pytest.raises(ValueError):
-        AssemblyParams(team_size=3, num_teams=10, seed=-1, selection=SelectionMode.RANDOM)
-    with pytest.raises(ValueError):
-        AssemblyParams(team_size=3, num_teams=10, seed=0, selection="top-cost")
-
-
 @pytest.fixture
 def small_pool():
     spec = SynthesisSpec(
@@ -223,9 +210,47 @@ def small_project():
     return Project("proj-small", frozenset(skill_universe(8)[:4]))
 
 
+def _one_mode(pool, project, mode, *, team_size, num_teams, seed):
+    outcomes = assemble_all_selections(
+        pool, project, team_size=team_size, num_teams=num_teams, seed=seed, selections=[mode]
+    )
+    assert list(outcomes) == [mode]
+    return outcomes[mode]
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        pytest.param({"team_size": 2}, "team_size must be at least 3, got 2", id="team-size"),
+        pytest.param({"num_teams": 0}, "num_teams must be at least 1, got 0", id="num-teams"),
+        pytest.param({"seed": -1}, "seed must fit in 64 unsigned bits", id="seed"),
+        pytest.param({"selections": ["top-cost"]}, "selection must be a SelectionMode", id="mode"),
+        pytest.param(
+            {"selections": []}, "selections must name at least one SelectionMode", id="no-mode"
+        ),
+        pytest.param(
+            {"selections": [SelectionMode.TOP_SUM, "top-cost"]},
+            "selection must be a SelectionMode",
+            id="bad-second-mode",
+        ),
+    ],
+)
+def test_assemble_all_selections_validates_before_sampling(
+    small_pool, small_project, monkeypatch, override, message
+):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("teams were sampled before the arguments were validated")
+
+    monkeypatch.setattr("fairteams.assembly.form_random_teams", no_sampling)
+    knobs = {"team_size": 4, "num_teams": 50, "seed": 0, **override}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        assemble_all_selections(small_pool, small_project, **knobs)
+
+
 def test_multi_objective_forms_covering_team(small_pool, small_project):
-    params = AssemblyParams(team_size=4, num_teams=300, seed=11, selection=SelectionMode.TOP_SUM)
-    outcome = assemble_multi_objective(small_pool, small_project, params)
+    outcome = _one_mode(
+        small_pool, small_project, SelectionMode.TOP_SUM, team_size=4, num_teams=300, seed=11
+    )
     assert outcome.formed
     assert outcome.method == "multi"
     assert len(outcome.team) == 4
@@ -239,16 +264,20 @@ def test_multi_objective_forms_covering_team(small_pool, small_project):
 
 
 def test_multi_objective_is_deterministic(small_pool, small_project):
-    params = AssemblyParams(team_size=4, num_teams=200, seed=21, selection=SelectionMode.RANDOM)
-    first = assemble_multi_objective(small_pool, small_project, params)
-    second = assemble_multi_objective(small_pool, small_project, params)
+    first = _one_mode(
+        small_pool, small_project, SelectionMode.RANDOM, team_size=4, num_teams=200, seed=21
+    )
+    second = _one_mode(
+        small_pool, small_project, SelectionMode.RANDOM, team_size=4, num_teams=200, seed=21
+    )
     assert first.team.member_ids() == second.team.member_ids()
 
 
 def test_multi_objective_unformed_when_nobody_matches(small_pool):
     project = Project("misfit", frozenset({"zz-unknown"}))
-    params = AssemblyParams(team_size=4, num_teams=50, seed=0, selection=SelectionMode.TOP_COST)
-    outcome = assemble_multi_objective(small_pool, project, params)
+    outcome = _one_mode(
+        small_pool, project, SelectionMode.TOP_COST, team_size=4, num_teams=50, seed=0
+    )
     assert not outcome.formed
     assert outcome.objectives is None
     assert outcome.diagnostics.filtered_size == 0
@@ -259,8 +288,9 @@ def test_multi_objective_unformed_when_coverage_unreachable(small_pool):
     # one requirement exists in the pool, the other in nobody's profile
     known = skill_universe(8)[0]
     project = Project("half", frozenset({known, "zz-unknown"}))
-    params = AssemblyParams(team_size=4, num_teams=100, seed=0, selection=SelectionMode.TOP_COST)
-    outcome = assemble_multi_objective(small_pool, project, params)
+    outcome = _one_mode(
+        small_pool, project, SelectionMode.TOP_COST, team_size=4, num_teams=100, seed=0
+    )
     assert not outcome.formed
     assert outcome.diagnostics.filtered_size > 0
     assert outcome.diagnostics.full_coverage_count == 0
@@ -274,19 +304,19 @@ def test_multi_objective_fallback_team_when_front_is_small():
         _candidate("idle-2", AttributeClass.ONE, {"y": 1.0}),
     ]
     project = Project("narrow", frozenset({"a", "b"}))
-    params = AssemblyParams(team_size=3, num_teams=50, seed=5, selection=SelectionMode.TOP_SUM)
-    outcome = assemble_multi_objective(pool, project, params)
+    outcome = _one_mode(pool, project, SelectionMode.TOP_SUM, team_size=3, num_teams=50, seed=5)
     assert outcome.formed
     assert outcome.diagnostics.used_fallback_team
     assert outcome.team.member_ids() == ("a-only", "b-only")
 
 
 def test_multi_objective_rejects_degenerate_sizes(demo_members, demo_project):
-    params = AssemblyParams(team_size=3, num_teams=10, seed=0, selection=SelectionMode.TOP_SUM)
     with pytest.raises(ValueError):
-        assemble_multi_objective(demo_members, demo_project, params)
+        _one_mode(
+            demo_members, demo_project, SelectionMode.TOP_SUM, team_size=3, num_teams=10, seed=0
+        )
     with pytest.raises(ValueError):
-        assemble_multi_objective([], demo_project, params)
+        _one_mode([], demo_project, SelectionMode.TOP_SUM, team_size=3, num_teams=10, seed=0)
 
 
 def test_all_configs_agree_when_one_team_dominates():
@@ -316,8 +346,7 @@ def test_all_selections_equal_individual_runs(small_pool, small_project):
         small_pool, small_project, team_size=4, num_teams=150, seed=31
     )
     for mode in ALL_MODES:
-        params = AssemblyParams(team_size=4, num_teams=150, seed=31, selection=mode)
-        single = assemble_multi_objective(small_pool, small_project, params)
+        single = _one_mode(small_pool, small_project, mode, team_size=4, num_teams=150, seed=31)
         assert shared[mode].formed and single.formed
         assert shared[mode].team.member_ids() == single.team.member_ids()
         assert shared[mode].diagnostics == single.diagnostics
@@ -371,9 +400,12 @@ def test_top_sum_pick_survives_global_rescaling(small_pool, small_project):
         _candidate(c.id, c.attribute, {s: cost * factor for s, cost in c.cost_profile.items()})
         for c in small_pool
     ]
-    params = AssemblyParams(team_size=4, num_teams=250, seed=13, selection=SelectionMode.TOP_SUM)
-    base = assemble_multi_objective(small_pool, small_project, params)
-    scaled = assemble_multi_objective(scaled_pool, small_project, params)
+    base = _one_mode(
+        small_pool, small_project, SelectionMode.TOP_SUM, team_size=4, num_teams=250, seed=13
+    )
+    scaled = _one_mode(
+        scaled_pool, small_project, SelectionMode.TOP_SUM, team_size=4, num_teams=250, seed=13
+    )
     assert base.team.member_ids() == scaled.team.member_ids()
 
 
@@ -743,9 +775,10 @@ def test_greedy_baselines_equal_the_scalar_reference(instance):
 
 def test_all_assemblers_reach_full_coverage(small_pool, small_project):
     wanted = len(small_project.requirements)
-    params = AssemblyParams(team_size=4, num_teams=200, seed=41, selection=SelectionMode.RANDOM)
     for outcome in (
-        assemble_multi_objective(small_pool, small_project, params),
+        _one_mode(
+            small_pool, small_project, SelectionMode.RANDOM, team_size=4, num_teams=200, seed=41
+        ),
         assemble_incremental(small_pool, small_project),
         assemble_fair_allocation(small_pool, small_project),
     ):

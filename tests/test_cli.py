@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -51,7 +52,7 @@ def test_synth_then_bench_then_assemble(tmp_path, capsys):
         "--team-size", "3", "--num-teams", "60", "--seed", "4",
         "--format", "csv", "--out", str(report), "--log", str(log),
     ]) == 0
-    rows = list(csv.DictReader(report.open()))
+    rows = list(csv.DictReader(report.read_text(encoding="utf-8").splitlines()))
     assert len(rows) == 9
     assert {row["algorithm"] for row in rows} >= {"incremental", "fair-alloc", "multi/top-sum"}
     assert log.exists()
@@ -99,8 +100,43 @@ def test_bench_respects_method_and_config_filters(data, tmp_path):
         "--team-size", "3", "--num-teams", "50", "--seed", "1",
         "--format", "csv", "--out", str(report), "--log", str(tmp_path / "r.log"),
     ]) == 0
-    labels = [row["algorithm"] for row in csv.DictReader(report.open())]
+    rows = csv.DictReader(report.read_text(encoding="utf-8").splitlines())
+    labels = [row["algorithm"] for row in rows]
     assert labels == ["multi/random", "multi/top-sum"]
+
+
+@pytest.mark.parametrize(
+    "method_args, method, selection",
+    [
+        (["--method", "incremental"], "incremental", ""),
+        (["--method", "fair-alloc"], "fair-alloc", ""),
+        (["--method", "multi", "--config", "top-sum"], "multi", "top-sum"),
+        (["--method", "multi", "--config", "random"], "multi", "random"),
+    ],
+    ids=["incremental", "fair-alloc", "multi-top-sum", "multi-random"],
+)
+def test_assemble_prints_the_bench_log_row(tmp_path, capsys, method_args, method, selection):
+    pool, projects, log = tmp_path / "pool.csv", tmp_path / "projects.csv", tmp_path / "r.log"
+    assert main([
+        "synth", "--out-pool", str(pool), "--out-projects", str(projects),
+        "--pool-size", "40", "--skills", "10", "--num-projects", "6", "--seed", "5",
+    ]) == 0
+    with projects.open("a", encoding="utf-8") as out:
+        out.write("px,quantum-basket-weaving\n")
+    files = ["--pool", str(pool), "--projects", str(projects)]
+    knobs = ["--attr-proportion", "0.3", "--seed", "9", "--team-size", "3", "--num-teams", "80"]
+    assert main([
+        "bench", *files, *knobs, *method_args, "--out", str(tmp_path / "r.csv"), "--log", str(log),
+    ]) == 0
+    rows = list(csv.DictReader(log.read_text(encoding="utf-8").splitlines()))
+    assert [(row["method"], row["selection"]) for row in rows] == [(method, selection)] * 7
+    assert {row["formed"] for row in rows} == {"0", "1"}
+    capsys.readouterr()
+    for row in rows:
+        status = main(["assemble", *files, *knobs, *method_args, "--project-id", row["project_id"]])
+        members = re.findall(r"(\S+) \(class [01]\)", capsys.readouterr().out)
+        assert status == (0 if row["formed"] == "1" else 3)
+        assert ";".join(members) == row["member_ids"]
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

@@ -17,8 +17,8 @@ def test_attribute_class_other():
 def test_candidate_profile_normalized_to_sorted_keys():
     candidate = Candidate("c1", AttributeClass.ZERO, {"b": 2.0, "a": 1.0})
     assert list(candidate.cost_profile) == ["a", "b"]
-    assert candidate.has_skill("a")
-    assert not candidate.has_skill("z")
+    assert "a" in candidate.cost_profile
+    assert "z" not in candidate.cost_profile
 
 
 def test_candidate_coerces_costs_to_float():

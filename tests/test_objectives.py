@@ -21,7 +21,6 @@ from fairteams import (
     cost_for_class,
     expertise_unevenness,
     matched_cost,
-    member_loads,
     objective_vector,
     representation_parity,
     requirement_costs,
@@ -44,7 +43,7 @@ def test_demo_team_cost(demo_team, demo_project):
 
 
 def test_demo_member_loads(demo_team, demo_project):
-    loads = {entry.candidate_id: entry.load for entry in member_loads(demo_team, demo_project)}
+    loads = {member.id: matched_cost(member, demo_project) for member in demo_team.members}
     assert loads == pytest.approx(
         {"member-1": 0.035, "member-2": 0.122, "member-3": 0.171}, abs=1e-9
     )
@@ -301,7 +300,7 @@ def test_bounds(instance):
     vec = objective_vector(team, project)
     assert 0.0 <= vec.representation <= 1.0
     assert 0.0 <= vec.cost_difference <= 1.0
-    max_load = max(entry.load for entry in member_loads(team, project))
+    max_load = max(matched_cost(member, project) for member in team.members)
     assert vec.workload <= max_load + 1e-9
     assert vec.expertise <= max(requirement_costs(team, project)) + 1e-9
 
