@@ -56,18 +56,18 @@ class AssemblyDiagnostics:
     """Counts and reduction fractions observed along the pipeline.
 
     Reduction fractions are 1 - front/input; when the input side is empty the
-    fraction is reported as 0.0. The greedy baselines fill only the candidate
-    counts and leave the sampling fields at zero.
+    fraction is reported as 0.0. The greedy baselines fill only the pool and
+    filtered sizes and leave the sampling fields at their zero defaults.
     """
 
     pool_size: int
     filtered_size: int
-    pareto_candidate_count: int
-    teams_sampled: int
-    full_coverage_count: int
-    pareto_team_count: int
-    candidate_reduction: float
-    team_reduction: float
+    pareto_candidate_count: int = 0
+    teams_sampled: int = 0
+    full_coverage_count: int = 0
+    pareto_team_count: int = 0
+    candidate_reduction: float = 0.0
+    team_reduction: float = 0.0
     used_fallback_team: bool = False
 
 
@@ -188,16 +188,15 @@ def _run_pipeline(
     num_teams: int,
     rng: np.random.Generator,
     view: ProjectView | None,
-) -> tuple[AssemblyDiagnostics, list[Team], list[ObjectiveVector], list[int]]:
-    """Sample teams and take their front: the diagnostics, the covering teams,
-    their objective vectors and the front's indices among them."""
+) -> tuple[AssemblyDiagnostics, list[tuple[Team, ObjectiveVector]]]:
+    """Sample teams and take their front: the diagnostics and the covering
+    copies on the team front as (team, vector) pairs, in sampling order."""
     if view is None:
         view = project_view(pool, project)
     front_candidates: list[Candidate] = []
     teams: list[Team] = []
     covered: list[Team] = []
-    vectors: list[ObjectiveVector] = []
-    front_indices: list[int] = []
+    front: list[tuple[Team, ObjectiveVector]] = []
     if view.matching:
         front_candidates = pareto_candidates(view.matching, project)
         teams = form_random_teams(front_candidates, num_teams, team_size, rng)
@@ -212,9 +211,8 @@ def _run_pipeline(
             key: objective_vector(team, project)
             for key, team in dict(zip(ids, covered)).items()
         }
-        vectors = [distinct[key] for key in ids]
-        front = set(pareto_front([(key, vec.as_tuple()) for key, vec in distinct.items()]))
-        front_indices = [i for i, key in enumerate(ids) if key in front]
+        kept = set(pareto_front([(key, vec.as_tuple()) for key, vec in distinct.items()]))
+        front = [(team, distinct[key]) for key, team in zip(ids, covered) if key in kept]
     filtered = len(view.matching)
     diagnostics = AssemblyDiagnostics(
         pool_size=len(pool),
@@ -222,12 +220,12 @@ def _run_pipeline(
         pareto_candidate_count=len(front_candidates),
         teams_sampled=len(teams),
         full_coverage_count=len(covered),
-        pareto_team_count=len(front_indices),
+        pareto_team_count=len(front),
         candidate_reduction=1.0 - len(front_candidates) / filtered if filtered else 0.0,
-        team_reduction=1.0 - len(front_indices) / len(covered) if covered else 0.0,
+        team_reduction=1.0 - len(front) / len(covered) if covered else 0.0,
         used_fallback_team=0 < len(front_candidates) < team_size,
     )
-    return diagnostics, covered, vectors, front_indices
+    return diagnostics, front
 
 
 def _normalized_sums(vectors: Sequence[ObjectiveVector]) -> list[float]:
@@ -245,26 +243,27 @@ def _normalized_sums(vectors: Sequence[ObjectiveVector]) -> list[float]:
 
 
 def _select_index(
-    covered: Sequence[Team],
-    vectors: Sequence[ObjectiveVector],
-    front: Sequence[int],
+    front: Sequence[tuple[Team, ObjectiveVector]],
+    sums: Sequence[float],
     selection: SelectionMode,
     rng: np.random.Generator,
 ) -> int:
+    """Index of the pick in `front`; `sums` are the front's normalized sums.
+
+    `random` draws one copy. Every other mode takes the least (value on its
+    axis, normalized sum, member ids); `top-sum` has no axis and reads 0.0.
+    """
     if selection is SelectionMode.RANDOM:
-        return front[int(rng.integers(len(front)))]
-    front_vectors = [vectors[i] for i in front]
-    sums = _normalized_sums(front_vectors)
-    if selection is SelectionMode.TOP_SUM:
-        best = min(
-            range(len(front)), key=lambda k: (sums[k], covered[front[k]].member_ids())
-        )
-        return front[best]
-    axis = _OBJECTIVE_AXIS[selection]
-    best_value = min(vec.as_tuple()[axis] for vec in front_vectors)
-    tied = [k for k in range(len(front)) if front_vectors[k].as_tuple()[axis] == best_value]
-    best = min(tied, key=lambda k: (sums[k], covered[front[k]].member_ids()))
-    return front[best]
+        return int(rng.integers(len(front)))
+    axis = _OBJECTIVE_AXIS.get(selection)
+    return min(
+        range(len(front)),
+        key=lambda k: (
+            0.0 if axis is None else front[k][1].as_tuple()[axis],
+            sums[k],
+            front[k][0].member_ids(),
+        ),
+    )
 
 
 def assemble_all_selections(
@@ -306,30 +305,15 @@ def assemble_all_selections(
             f"team_size {team_size} must be smaller than the pool ({len(pool)} candidates)"
         )
     rng = project_rng(seed, project.id)
-    diagnostics, covered, vectors, front = _run_pipeline(
-        pool, project, team_size, num_teams, rng, view
-    )
+    diagnostics, front = _run_pipeline(pool, project, team_size, num_teams, rng, view)
+    sums = _normalized_sums([vector for _, vector in front])
     outcomes: dict[SelectionMode, AssemblyOutcome] = {}
     for mode in modes:
         team = vector = None
         if front:
-            index = _select_index(covered, vectors, front, mode, rng)
-            team, vector = covered[index], vectors[index]
+            team, vector = front[_select_index(front, sums, mode, rng)]
         outcomes[mode] = AssemblyOutcome("multi", mode, team, vector, diagnostics)
     return outcomes
-
-
-def _baseline_diagnostics(pool_size: int, filtered_size: int) -> AssemblyDiagnostics:
-    return AssemblyDiagnostics(
-        pool_size=pool_size,
-        filtered_size=filtered_size,
-        pareto_candidate_count=0,
-        teams_sampled=0,
-        full_coverage_count=0,
-        pareto_team_count=0,
-        candidate_reduction=0.0,
-        team_reduction=0.0,
-    )
 
 
 def _best_addition(
@@ -362,17 +346,6 @@ def _best_addition(
     return best
 
 
-def _preferred_class(
-    counts: dict[AttributeClass, int], costs: dict[AttributeClass, float]
-) -> AttributeClass:
-    zero, one = AttributeClass.ZERO, AttributeClass.ONE
-    if counts[zero] != counts[one]:
-        return zero if counts[zero] < counts[one] else one
-    if costs[zero] != costs[one]:
-        return zero if costs[zero] < costs[one] else one
-    return zero
-
-
 def _greedy_assemble(
     pool: Sequence[Candidate],
     project: Project,
@@ -384,7 +357,7 @@ def _greedy_assemble(
         raise ValueError("candidate pool is empty")
     if view is None:
         view = project_view(pool, project)
-    diagnostics = _baseline_diagnostics(len(pool), len(view.matching))
+    diagnostics = AssemblyDiagnostics(len(pool), len(view.matching))
 
     chosen: list[Candidate] = []
     chosen_ids: set[str] = set()
@@ -393,7 +366,7 @@ def _greedy_assemble(
     costs = {AttributeClass.ZERO: 0.0, AttributeClass.ONE: 0.0}
     while uncovered:
         if balance_classes:
-            preferred = _preferred_class(counts, costs)
+            preferred = min(AttributeClass, key=lambda c: (counts[c], costs[c], c.value))
             pick = _best_addition(view, uncovered, chosen_ids, preferred)
             if pick is None:
                 pick = _best_addition(view, uncovered, chosen_ids, preferred.other())

@@ -150,7 +150,7 @@ def aggregate_records(
             columns = list(zip(*(o.objectives.as_tuple() for o in formed)))
             means = tuple(sum(col) / len(col) for col in columns)
             stds = tuple(_spread(col, sum(col)) for col in columns)
-        if target.method == "multi":
+        if target.method == "multi" and mine:
             cand_mean = sum(r.outcome.diagnostics.candidate_reduction for r in mine) / len(mine)
             team_mean = sum(r.outcome.diagnostics.team_reduction for r in mine) / len(mine)
         else:

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .assembly import SelectionMode
+from .assembly import _MAX_SEED, SelectionMode
 from .bench import (
     DEFAULT_TARGETS,
     METHODS,
@@ -48,6 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: an integer that fits in 64 unsigned bits."""
+    try:
+        value = int(text)
+        if 0 <= value < _MAX_SEED:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fairteams", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,7 +74,7 @@ def _build_parser() -> _Parser:
             metavar="P",
             help="reassign attribute classes so a share P of candidates is class 0",
         )
-        p.add_argument("--seed", type=int, default=0, help="global random seed (default 0)")
+        p.add_argument("--seed", type=_seed, default=0, help="global random seed (default 0)")
 
     def add_assembly_knobs(p):
         p.add_argument("--team-size", type=int, default=4, help="members per sampled team (>= 3)")
@@ -116,7 +127,7 @@ def _build_parser() -> _Parser:
     synth.add_argument("--num-projects", type=int, default=50)
     synth.add_argument("--min-req", type=int, default=2)
     synth.add_argument("--max-req", type=int, default=5)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fairteams import (
     AttributeClass,
     Candidate,
     InfeasibleProjectError,
+    ObjectiveVector,
     Project,
     SelectionMode,
     SynthesisSpec,
@@ -35,7 +37,7 @@ from fairteams import (
     project_rng,
     synthesize_pool,
 )
-from fairteams.assembly import _select_index, project_view
+from fairteams.assembly import _normalized_sums, _select_index, project_view
 from fairteams.data_io import skill_universe
 from test_pareto import oracle_front_indices
 
@@ -409,13 +411,101 @@ def test_top_sum_pick_survives_global_rescaling(small_pool, small_project):
     assert base.team.member_ids() == scaled.team.member_ids()
 
 
+# -- the pick rule against a reference ----------------------------------------
+
+
+def _reference_normalized_sums(vectors):
+    columns = list(zip(*(vec.as_tuple() for vec in vectors)))
+    sums = [0.0] * len(vectors)
+    for column in columns:
+        low, high = min(column), max(column)
+        if high == low:
+            continue
+        for i, value in enumerate(column):
+            sums[i] += (value - low) / (high - low)
+    return sums
+
+
+def _reference_select_index(covered, vectors, front, selection, rng):
+    """The pick rule on its own: `random` draws one front copy; any other mode
+    keeps the front copies at its axis minimum (all of them for `top-sum`) and
+    takes the least (normalized sum, member ids). Returns an index into
+    `covered`; `front` holds the front's indices among `covered`."""
+    if selection is SelectionMode.RANDOM:
+        return front[int(rng.integers(len(front)))]
+    front_vectors = [vectors[i] for i in front]
+    sums = _reference_normalized_sums(front_vectors)
+    tied = range(len(front))
+    if selection is not SelectionMode.TOP_SUM:
+        axis = TOP_AXES[selection]
+        best_value = min(vec.as_tuple()[axis] for vec in front_vectors)
+        tied = [k for k in tied if front_vectors[k].as_tuple()[axis] == best_value]
+    best = min(tied, key=lambda k: (sums[k], covered[front[k]].member_ids()))
+    return front[best]
+
+
+@st.composite
+def _team_vector_pairs(draw):
+    """1-12 (team, vector) pairs from small palettes, so that axis ties, equal
+    sums and repeated member sets are common."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 12))):
+        ids = draw(st.sets(st.sampled_from("abcde"), min_size=1, max_size=3))
+        team = Team(_candidate(cid, AttributeClass.ZERO, {"s": 1.0}) for cid in ids)
+        values = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=5, max_size=5))
+        pairs.append((team, ObjectiveVector(*values)))
+    return pairs
+
+
+@settings(deadline=None, max_examples=300)
+@given(front=_team_vector_pairs(), mode=st.sampled_from(ALL_MODES), seed=st.integers(0, 2**32 - 1))
+def test_select_index_equals_the_reference_rule(front, mode, seed):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    teams = [team for team, _ in front]
+    vectors = [vector for _, vector in front]
+    got = _select_index(front, _normalized_sums(vectors), mode, rng)
+    want = _reference_select_index(teams, vectors, list(range(len(front))), mode, reference_rng)
+    assert got == want
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@settings(deadline=None, max_examples=300)
+@given(sampled=_team_vector_pairs(), seed=st.integers(0, 2**32 - 1))
+def test_every_mode_picks_from_the_front_alone(sampled, seed):
+    """Drawn covering teams go through the real pipeline; every mode must pick
+    what the reference picks over the Pareto front of those teams alone."""
+    vector_of = {}
+    for team, vector in sampled:
+        vector_of.setdefault(team.member_ids(), vector)  # copies share a vector
+    teams = [team for team, _ in sampled]
+    vectors = [vector_of[team.member_ids()] for team in teams]
+    front = sorted(oracle_front_indices([vector.as_tuple() for vector in vectors]))
+    pool = [_candidate(cid, AttributeClass.ZERO, {"s": 1.0}) for cid in "wxyz"]
+    project = Project("drawn", frozenset({"s"}))
+    with (
+        patch("fairteams.assembly.form_random_teams", lambda *args: teams),
+        patch("fairteams.assembly.coverage", lambda team, project: 1),
+        patch(
+            "fairteams.assembly.objective_vector",
+            lambda team, project: vector_of[team.member_ids()],
+        ),
+    ):
+        outcomes = assemble_all_selections(
+            pool, project, team_size=3, num_teams=len(teams), seed=seed
+        )
+    for mode, outcome in outcomes.items():
+        want = _reference_select_index(teams, vectors, front, mode, project_rng(seed, project.id))
+        assert outcome.team == teams[want]
+        assert outcome.objectives == vectors[want]
+
+
 # -- de-duplicated pipeline against the per-copy pipeline ----------------------
 
 
 def _per_copy_reference(pool, project, team_size, num_teams, seed):
     """The pipeline without de-duplication: every sampled copy is scored and
     enters the team front. Returns the diagnostics and, per mode, the picked
-    (team, vector), using the assembler's own pick rule."""
+    (team, vector), using the reference pick rule."""
     rng = project_rng(seed, project.id)
     try:
         matching = filter_candidates(pool, project)
@@ -440,7 +530,7 @@ def _per_copy_reference(pool, project, team_size, num_teams, seed):
     )
     picks = {}
     for mode in ALL_MODES:
-        index = _select_index(covered, vectors, kept, mode, rng) if kept else None
+        index = _reference_select_index(covered, vectors, kept, mode, rng) if kept else None
         picks[mode] = (None, None) if index is None else (covered[index], vectors[index])
     return diagnostics, picks
 

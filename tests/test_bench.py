@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from fairteams import (
     assemble_incremental,
     emit_outcome_log,
     emit_report,
+    load_pool,
+    load_projects,
     run_benchmark,
     synthesize_pool,
     synthesize_projects,
@@ -197,6 +201,34 @@ def test_pool_errors_keep_their_messages_and_order(corpus, pool_size, targets, t
             run()
 
 
+# sha256 of the outputs on tests/data/pinned_*.csv; a change that alters
+# these bytes updates the constants and says why in CHANGES.md
+PINNED_SHA256 = {
+    "table": "8b15295b036270e2a2aec18d2df2dadf0baf070df0c5023fd00e66ce8ba09376",
+    "csv": "9f019ec6c8d39cc13ac2c24bca7f003fdf4f528d40b0aacfeaea2414b3dd5d4d",
+    "log": "fd2592147a697504bcee9e07df70c514291e65495b5b4a78a95616cff95910d0",
+}
+
+
+def test_report_and_log_bytes_are_pinned():
+    data = Path(__file__).parent / "data"
+    pool = load_pool(data / "pinned_pool.csv", 0.1, 7)
+    projects = load_projects(data / "pinned_projects.csv")
+    assert (len(pool), len(projects)) == (60, 12)
+    report, records = run_benchmark(
+        pool, projects, DEFAULT_TARGETS, team_size=4, num_teams=200, seed=7
+    )
+    outputs = {
+        "table": emit_report(report, "table"),
+        "csv": emit_report(report, "csv"),
+        "log": emit_outcome_log(records),
+    }
+    digests = {
+        name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in outputs.items()
+    }
+    assert digests == PINNED_SHA256
+
+
 def test_aggregate_matches_run_benchmark(corpus):
     report, records = _run(corpus)
     again = aggregate_records(records, DEFAULT_TARGETS, report.project_count)
@@ -233,6 +265,14 @@ def test_unformed_rows_render_dashes():
     empty = RowAggregate("multi/top-sum", 0, None, None, 0.5, 0.5)
     text = emit_report(RunReport(project_count=1, rows=(empty,)), "csv")
     assert "multi/top-sum,-,-,-,-,-,0," in text
+
+
+def test_targets_without_records_get_empty_rows():
+    targets = [RunTarget("multi", SelectionMode.TOP_SUM), RunTarget("incremental")]
+    report = aggregate_records([], targets, 0)
+    for row, target in zip(report.rows, targets):
+        assert row == RowAggregate(target.label, 0, None, None, None, None)
+    assert emit_report(report, "csv").splitlines()[1] == "multi/top-sum,-,-,-,-,-,0,-,-"
 
 
 def test_emit_report_rejects_bad_inputs():

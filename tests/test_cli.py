@@ -162,6 +162,28 @@ def test_bad_flag_values_exit_1(data, capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--seed", "-1", "--method", "incremental"],
+        ["bench", "--seed", str(2**64), "--method", "fair-alloc"],
+        ["assemble", "--seed", "-1", "--attr-proportion", "0.5"],
+        ["synth", "--out-pool", "p.csv", "--seed", "-1"],
+    ],
+    ids=["bench-negative", "bench-2**64", "assemble-negative", "synth-negative"],
+)
+def test_seed_outside_64_unsigned_bits_is_a_usage_error(data, tmp_path, capsys, argv):
+    pool, projects = data
+    if argv[0] == "synth":
+        argv = [str(tmp_path / a) if a == "p.csv" else a for a in argv]
+    else:
+        argv = [*argv, "--pool", str(pool), "--projects", str(projects), "--team-size", "3"]
+        argv += ["--out", str(tmp_path / "r.csv")] if argv[0] == "bench" else []
+    assert main(argv) == 1
+    assert "usage error: argument --seed: " in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "p.csv").exists()
+
+
 def test_data_errors_exit_2(data, tmp_path, capsys):
     pool, projects = data
     assert main(["bench", "--pool", str(tmp_path / "missing.csv"), "--projects", str(projects)]) == 2
