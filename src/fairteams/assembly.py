@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import AttributeClass, Candidate, ObjectiveVector, Project, Team, coverage
-from .objectives import matched_cost, objective_vector
-from .pareto import pareto_front
+from .objectives import objective_vector
+from .pareto import _front_rows, pareto_front
 
 
 class InfeasibleProjectError(ValueError):
@@ -105,42 +105,112 @@ def filter_candidates(pool: Sequence[Candidate], project: Project) -> list[Candi
     return kept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectView:
     """One project's view of the pool, shared by every assembler.
 
     `matching` holds the candidates offering at least one requirement, in pool
-    order, and is empty when none does. `loads[i]` is `matched_cost` of
-    `matching[i]`; bit j of `masks[i]` is set when it offers
+    order, and is empty when none does. Row i of the read-only `costs` matrix
+    is `candidate_scores(matching[i], project)`. `loads[i]` is `matched_cost`
+    of `matching[i]`; bit j of `masks[i]` is set when it offers
     `project.sorted_requirements[j]`.
     """
 
     matching: list[Candidate]
+    costs: np.ndarray
     loads: list[float]
     masks: list[int]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProjectView):
+            return NotImplemented
+        return (self.matching, self.loads, self.masks) == (
+            other.matching,
+            other.loads,
+            other.masks,
+        ) and np.array_equal(self.costs, other.costs)
+
+
+_SkillIndex = dict[str, tuple[np.ndarray, np.ndarray]]
+"""Skill -> (ascending pool positions offering it, their costs for it)."""
+
+# (pool snapshot, its index); a rebuild rebinds it and never mutates the pair
+_POOL_INDEX: tuple[tuple[Candidate, ...], _SkillIndex] | None = None
+
+
+def _skill_index(snapshot: tuple[Candidate, ...]) -> _SkillIndex:
+    """The postings index of the pool `snapshot`, reused while the pool equals it.
+
+    The comparison is tuple equality, which passes identical candidates
+    without calling `__eq__`. An equal pool keeps the index but becomes the
+    snapshot, so a pool reused across projects costs one pointer check per
+    candidate, while an altered pool gets a fresh index.
+    """
+    global _POOL_INDEX
+    cached = _POOL_INDEX
+    if cached is not None and cached[0] == snapshot:
+        index = cached[1]
+    else:
+        index = _build_index(snapshot)
+    _POOL_INDEX = (snapshot, index)
+    return index
+
+
+def _build_index(pool: Sequence[Candidate]) -> _SkillIndex:
+    positions: dict[str, list[int]] = {}
+    costs: dict[str, list[float]] = {}
+    for position, candidate in enumerate(pool):
+        for skill, cost in candidate.cost_profile.items():
+            if skill not in positions:
+                positions[skill], costs[skill] = [], []
+            positions[skill].append(position)
+            costs[skill].append(cost)
+    return {
+        skill: (np.array(positions[skill], dtype=np.intp), np.array(costs[skill], dtype=float))
+        for skill in positions
+    }
+
 
 def project_view(pool: Sequence[Candidate], project: Project) -> ProjectView:
-    """Filter the pool once for `project`; an empty pool gives an empty view.
+    """Match the pool against `project` through the pool's skill index; an
+    empty pool gives an empty view.
 
     The assemblers report an empty pool themselves, each in its own order.
     """
-    matching: list[Candidate] = []
-    if pool:
-        try:
-            matching = filter_candidates(pool, project)
-        except InfeasibleProjectError:
-            pass
-    bits = [(1 << j, skill) for j, skill in enumerate(project.sorted_requirements)]
-    masks = []
-    for candidate in matching:
-        profile = candidate.cost_profile
-        mask = 0
-        for bit, skill in bits:
-            if skill in profile:
-                mask |= bit
-        masks.append(mask)
-    return ProjectView(matching, [matched_cost(c, project) for c in matching], masks)
+    snapshot = tuple(pool)
+    requirements = project.sorted_requirements
+    index = _skill_index(snapshot)
+    offered = [(j, *index[skill]) for j, skill in enumerate(requirements) if skill in index]
+    hit = np.zeros(len(snapshot), dtype=bool)
+    for _, positions, _ in offered:
+        hit[positions] = True
+    rows = np.flatnonzero(hit)
+    row_of = np.cumsum(hit) - 1
+    costs = np.full((len(rows), len(requirements)), np.inf)
+    for j, positions, column in offered:
+        costs[row_of[positions], j] = column
+    costs.flags.writeable = False
+    offers = np.isfinite(costs)
+    # column by column in requirement order, the order `matched_cost` adds in
+    loads = np.zeros(len(rows))
+    for column in np.where(offers, costs, 0.0).T:
+        loads += column
+    matching = [snapshot[i] for i in rows.tolist()]
+    return ProjectView(matching, costs, loads.tolist(), _bitmasks(offers))
+
+
+_MASK_CHUNK = 62
+"""Columns per int64 product: 62 bits sum to less than 2**62, so none overflows."""
+
+
+def _bitmasks(offers: np.ndarray) -> list[int]:
+    """Bit j of item i is `offers[i, j]`, as Python ints of any width."""
+    masks: list[int] = []
+    for low in range(0, offers.shape[1], _MASK_CHUNK):
+        chunk = offers[:, low : low + _MASK_CHUNK]
+        bits = (chunk @ (1 << np.arange(chunk.shape[1], dtype=np.int64))).tolist()
+        masks = [mask | high << low for mask, high in zip(masks, bits)] if low else bits
+    return masks
 
 
 def candidate_scores(candidate: Candidate, project: Project) -> tuple[float, ...]:
@@ -198,7 +268,7 @@ def _run_pipeline(
     covered: list[Team] = []
     front: list[tuple[Team, ObjectiveVector]] = []
     if view.matching:
-        front_candidates = pareto_candidates(view.matching, project)
+        front_candidates = [view.matching[i] for i in _front_rows(view.costs).tolist()]
         teams = form_random_teams(front_candidates, num_teams, team_size, rng)
         wanted = len(project.requirements)
         covered = [team for team in teams if coverage(team, project) == wanted]

@@ -53,6 +53,15 @@ def pareto_front(items: Iterable[tuple[Key, Sequence[float]]]) -> list[Key]:
     if nan_rows.size:
         raise ValueError(f"score vector for {entries[nan_rows[0]][0]!r} contains NaN")
 
+    return [entries[i][0] for i in _front_rows(points).tolist()]
+
+
+def _front_rows(points: np.ndarray) -> np.ndarray:
+    """Ascending row indices of the non-dominated rows of a NaN-free 2-D array.
+
+    The sweep behind `pareto_front`, for callers that already hold the scores
+    as one matrix; it checks nothing.
+    """
     # A dominating point is lexicographically smaller, so it sorts earlier;
     # by transitivity a dominated point is also dominated by a front point.
     order = np.lexsort(points.T[::-1])
@@ -70,4 +79,4 @@ def pareto_front(items: Iterable[tuple[Key, Sequence[float]]]) -> list[Key]:
             better |= theirs < mine
         dominated = (no_worse & better).any(axis=0)
         front = np.concatenate((front, start + np.flatnonzero(~dominated)))
-    return [entries[i][0] for i in np.sort(order[front]).tolist()]
+    return np.sort(order[front])
