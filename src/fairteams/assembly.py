@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import AttributeClass, Candidate, ObjectiveVector, Project, Team, coverage
+from .model import AttributeClass, Candidate, ObjectiveVector, Project, Team
+from .model import coverage  # noqa: F401  the scalar reference; tracers wrap it under this name
 from .objectives import objective_vector
 from .pareto import _front_rows, pareto_front
 
@@ -226,6 +227,29 @@ def pareto_candidates(candidates: Sequence[Candidate], project: Project) -> list
     return [candidates[i] for i in pareto_front(scored)]
 
 
+_KEY_ROWS = 1024
+"""Draws per block of the sampling key matrix; bounds its memory to
+`_KEY_ROWS` x front-size doubles and leaves the drawn stream unchanged."""
+
+
+def _sample_rows(size: int, num_teams: int, team_size: int, rng: np.random.Generator) -> np.ndarray:
+    """`num_teams` uniform `team_size`-subsets of `range(size)`, one ascending row each.
+
+    Each draw takes the `team_size` least of `size` uniform keys. The keys
+    come in blocks of `_KEY_ROWS` rows, read in order from one stream, so the
+    rows do not depend on the block size. When `size < team_size` the one
+    row is all of `range(size)`, and nothing is drawn.
+    """
+    if size < team_size:
+        return np.arange(size, dtype=np.intp)[None]
+    rows = np.empty((num_teams, team_size), dtype=np.intp)
+    for start in range(0, num_teams, _KEY_ROWS):
+        keys = rng.random((min(_KEY_ROWS, num_teams - start), size))
+        picked = np.argpartition(keys, team_size - 1, axis=1)[:, :team_size]
+        rows[start : start + len(keys)] = np.sort(picked, axis=1)
+    return rows
+
+
 def form_random_teams(
     candidates: Sequence[Candidate],
     num_teams: int,
@@ -235,20 +259,15 @@ def form_random_teams(
     """Sample `num_teams` teams of `team_size` distinct members, uniformly.
 
     Repeated teams across draws are allowed. If fewer candidates than
-    `team_size` are available, degrades to the single team holding everyone.
+    `team_size` are available, degrades to the single team holding everyone
+    and draws nothing. The draws are those of the multi-objective pipeline.
     """
     if num_teams < 1:
         raise ValueError(f"num_teams must be at least 1, got {num_teams}")
     if team_size < 1:
         raise ValueError(f"team_size must be at least 1, got {team_size}")
-    generator = np.random.default_rng(rng)
-    if len(candidates) < team_size:
-        return [Team(candidates)]
-    teams = []
-    for _ in range(num_teams):
-        picked = generator.choice(len(candidates), size=team_size, replace=False)
-        teams.append(Team(candidates[i] for i in picked))
-    return teams
+    rows = _sample_rows(len(candidates), num_teams, team_size, np.random.default_rng(rng))
+    return [Team(candidates[i] for i in row) for row in rows.tolist()]
 
 
 def _run_pipeline(
@@ -258,44 +277,67 @@ def _run_pipeline(
     num_teams: int,
     rng: np.random.Generator,
     view: ProjectView | None,
-) -> tuple[AssemblyDiagnostics, list[tuple[Team, ObjectiveVector]]]:
-    """Sample teams and take their front: the diagnostics and the covering
-    copies on the team front as (team, vector) pairs, in sampling order."""
+) -> tuple[AssemblyDiagnostics, list[tuple[Team, ObjectiveVector]], np.ndarray]:
+    """Sample teams and take their front.
+
+    Returns the diagnostics, the distinct teams on the team front as (team,
+    vector) pairs, and for each covering draw on the front, in draw order,
+    the index of its team in that list.
+    """
     if view is None:
         view = project_view(pool, project)
-    front_candidates: list[Candidate] = []
-    teams: list[Team] = []
-    covered: list[Team] = []
+    # the candidate front; every sampled row holds positions in it
+    front_rows: list[int] = _front_rows(view.costs).tolist() if view.matching else []
+    members = [view.matching[i] for i in front_rows]
+    if members:
+        rows = _sample_rows(len(members), num_teams, team_size, rng)
+    else:
+        rows = np.empty((0, team_size), dtype=np.intp)
+    if len({member.id for member in members}) < len(members):
+        for row in rows.tolist():  # the first draw naming one id twice raises as `Team` does
+            Team(members[i] for i in row)
+    # one opaque byte string per row: np.unique sorts these several times
+    # faster than rows compared column by column, and the order is not used
+    width = rows.shape[1]
+    distinct, draws = np.unique(rows.view((np.void, rows.itemsize * width)), return_inverse=True)
+    distinct, draws = distinct.view(rows.dtype).reshape(-1, width), draws.reshape(-1)
+    masks = [view.masks[i] for i in front_rows]
+    full = (1 << len(project.sorted_requirements)) - 1
+    covers = np.zeros(len(distinct), dtype=bool)
+    scored: list[tuple[Team, ObjectiveVector]] = []
+    for d, row in enumerate(distinct.tolist()):
+        union = 0
+        for i in row:
+            union |= masks[i]
+        if union == full:
+            covers[d] = True
+            team = Team(members[i] for i in row)
+            scored.append((team, objective_vector(team, project)))
+    # Copies of a team share their objectives and never dominate each other,
+    # so the front is taken over the distinct covering teams; `place` holds
+    # each distinct row's index on it, or -1.
+    place = np.full(len(distinct), -1)
     front: list[tuple[Team, ObjectiveVector]] = []
-    if view.matching:
-        front_candidates = [view.matching[i] for i in _front_rows(view.costs).tolist()]
-        teams = form_random_teams(front_candidates, num_teams, team_size, rng)
-        wanted = len(project.requirements)
-        covered = [team for team in teams if coverage(team, project) == wanted]
-    if covered:
-        # Copies of a team share their objectives and never dominate each other,
-        # so each distinct member set is scored once and the front over the
-        # distinct vectors is expanded back to every covered copy.
-        ids = [team.member_ids() for team in covered]
-        distinct = {
-            key: objective_vector(team, project)
-            for key, team in dict(zip(ids, covered)).items()
-        }
-        kept = set(pareto_front([(key, vec.as_tuple()) for key, vec in distinct.items()]))
-        front = [(team, distinct[key]) for key, team in zip(ids, covered) if key in kept]
+    if scored:
+        kept = pareto_front([(k, vector.as_tuple()) for k, (_, vector) in enumerate(scored)])
+        front = [scored[k] for k in kept]
+        place[np.flatnonzero(covers)[kept]] = np.arange(len(kept))
+    copies = place[draws]
+    copies = copies[copies >= 0]
+    covered = int(np.count_nonzero(covers[draws]))
     filtered = len(view.matching)
     diagnostics = AssemblyDiagnostics(
         pool_size=len(pool),
         filtered_size=filtered,
-        pareto_candidate_count=len(front_candidates),
-        teams_sampled=len(teams),
-        full_coverage_count=len(covered),
-        pareto_team_count=len(front),
-        candidate_reduction=1.0 - len(front_candidates) / filtered if filtered else 0.0,
-        team_reduction=1.0 - len(front) / len(covered) if covered else 0.0,
-        used_fallback_team=0 < len(front_candidates) < team_size,
+        pareto_candidate_count=len(members),
+        teams_sampled=len(rows),
+        full_coverage_count=covered,
+        pareto_team_count=len(copies),
+        candidate_reduction=1.0 - len(members) / filtered if filtered else 0.0,
+        team_reduction=1.0 - len(copies) / covered if covered else 0.0,
+        used_fallback_team=0 < len(members) < team_size,
     )
-    return diagnostics, front
+    return diagnostics, front, copies
 
 
 def _normalized_sums(vectors: Sequence[ObjectiveVector]) -> list[float]:
@@ -317,23 +359,25 @@ def _select_index(
     sums: Sequence[float],
     selection: SelectionMode,
     rng: np.random.Generator,
+    copies: np.ndarray | None = None,
 ) -> int:
     """Index of the pick in `front`; `sums` are the front's normalized sums.
 
-    `random` draws one copy. Every other mode takes the least (value on its
-    axis, normalized sum, member ids); `top-sum` has no axis and reads 0.0.
+    `random` draws one copy: an entry of `copies`, which maps each sampled
+    copy to its place in `front` (by default every entry is one copy). Every
+    other mode takes the least (value on its axis, normalized sum, member
+    ids); `top-sum` has no axis and reads 0.0.
     """
     if selection is SelectionMode.RANDOM:
-        return int(rng.integers(len(front)))
+        if copies is None:
+            return int(rng.integers(len(front)))
+        return int(copies[rng.integers(len(copies))])
     axis = _OBJECTIVE_AXIS.get(selection)
-    return min(
-        range(len(front)),
-        key=lambda k: (
-            0.0 if axis is None else front[k][1].as_tuple()[axis],
-            sums[k],
-            front[k][0].member_ids(),
-        ),
-    )
+    keys = [
+        (0.0 if axis is None else vector.as_tuple()[axis], total, team.member_ids())
+        for (team, vector), total in zip(front, sums)
+    ]
+    return keys.index(min(keys))
 
 
 def assemble_all_selections(
@@ -375,13 +419,13 @@ def assemble_all_selections(
             f"team_size {team_size} must be smaller than the pool ({len(pool)} candidates)"
         )
     rng = project_rng(seed, project.id)
-    diagnostics, front = _run_pipeline(pool, project, team_size, num_teams, rng, view)
+    diagnostics, front, copies = _run_pipeline(pool, project, team_size, num_teams, rng, view)
     sums = _normalized_sums([vector for _, vector in front])
     outcomes: dict[SelectionMode, AssemblyOutcome] = {}
     for mode in modes:
         team = vector = None
         if front:
-            team, vector = front[_select_index(front, sums, mode, rng)]
+            team, vector = front[_select_index(front, sums, mode, rng, copies)]
         outcomes[mode] = AssemblyOutcome("multi", mode, team, vector, diagnostics)
     return outcomes
 

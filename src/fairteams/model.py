@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 SkillId = str
 """Opaque token naming one skill; compared by exact equality."""
@@ -23,6 +23,26 @@ class AttributeClass(Enum):
         return AttributeClass.ONE if self is AttributeClass.ZERO else AttributeClass.ZERO
 
 
+class _ReadOnlyProfile(dict):
+    """A skill -> cost dict that refuses every change once built.
+
+    Pools are indexed by content, so an edit in place would go unseen. A
+    `dict` subclass without an instance `__dict__` keeps lookups nearly as
+    fast as a dict's, and `__reduce__` lets it pickle for worker processes.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args: object, **kwargs: object) -> NoReturn:
+        raise TypeError("a candidate's cost profile is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self) -> tuple[type, tuple[dict[str, float]]]:
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class Candidate:
     """A hireable individual: id, protected-attribute class and a cost profile.
@@ -30,7 +50,8 @@ class Candidate:
     The cost profile maps each possessed skill to its hiring cost. A skill is
     possessed iff it has an entry, and every stored cost must be strictly
     positive; absence encodes "skill not possessed". The profile is normalized
-    to sorted-key order so that iteration is deterministic.
+    to sorted-key order so that iteration is deterministic, and is read-only:
+    editing it raises `TypeError`.
     """
 
     id: str
@@ -54,7 +75,7 @@ class Candidate:
                     f"candidate {self.id!r}: cost for skill {skill!r} must be a finite positive number"
                 )
             normalized[skill] = cost
-        object.__setattr__(self, "cost_profile", normalized)
+        object.__setattr__(self, "cost_profile", _ReadOnlyProfile(normalized))
 
 
 @dataclass(frozen=True)

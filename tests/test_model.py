@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -25,6 +27,37 @@ def test_candidate_coerces_costs_to_float():
     candidate = Candidate("c1", AttributeClass.ONE, {"a": 1})
     assert candidate.cost_profile["a"] == 1.0
     assert isinstance(candidate.cost_profile["a"], float)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda profile: profile.__setitem__("b", 2.0),
+        lambda profile: profile.__delitem__("a"),
+        lambda profile: profile.__ior__({"b": 2.0}),
+        lambda profile: profile.clear(),
+        lambda profile: profile.pop("a"),
+        lambda profile: profile.popitem(),
+        lambda profile: profile.setdefault("b", 2.0),
+        lambda profile: profile.update(b=2.0),
+    ],
+    ids=["setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault", "update"],
+)
+def test_candidate_profile_is_read_only(edit):
+    candidate = Candidate("c1", AttributeClass.ZERO, {"a": 1.0})
+    with pytest.raises(TypeError, match="read-only"):
+        edit(candidate.cost_profile)
+    assert candidate.cost_profile == {"a": 1.0}
+
+
+def test_read_only_profile_survives_pickle_and_copy():
+    candidate = Candidate("c1", AttributeClass.ONE, {"b": 2.0, "a": 1.0})
+    for twin in (pickle.loads(pickle.dumps(candidate)), copy.deepcopy(candidate)):
+        assert twin == candidate
+        assert list(twin.cost_profile.items()) == [("a", 1.0), ("b", 2.0)]
+        with pytest.raises(TypeError):
+            twin.cost_profile["c"] = 3.0
+    assert repr(candidate.cost_profile) == "{'a': 1.0, 'b': 2.0}"
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,184 @@
+"""The batched team sampler and the index-row pipeline against the scalar references.
+
+`_run_pipeline` samples each project's teams as one matrix of index rows into
+the candidate front, tests coverage with the requirement masks and scores each
+distinct covering row once. These tests check the draws themselves, and check
+the pipeline against `form_random_teams`, `coverage`, `objective_vector` and
+`pareto_front` applied to every sampled copy.
+"""
+
+from __future__ import annotations
+
+import re
+from collections import Counter
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairteams import (
+    AttributeClass,
+    Candidate,
+    Project,
+    SelectionMode,
+    assemble_all_selections,
+    coverage,
+    form_random_teams,
+    objective_vector,
+    pareto_front,
+    project_rng,
+)
+from fairteams import assembly
+from fairteams.assembly import _run_pipeline, _sample_rows, project_view
+from fairteams.pareto import _front_rows
+from test_assembly import (
+    _fallback_instance,
+    _per_copy_reference,
+    _ring_instance,
+    _synthetic_instance,
+)
+
+# the 0.999 quantile of the chi-square distribution with 19 degrees of freedom
+_CHI2_19_AT_0_999 = 43.82
+
+
+def test_sampler_draws_every_subset_uniformly():
+    draws = 20_000
+    rows = _sample_rows(6, draws, 3, np.random.default_rng(2024))
+    counts = Counter(map(tuple, rows.tolist()))
+    assert len(counts) == 20
+    assert all(list(row) == sorted(set(row)) for row in counts)
+    expected = draws / 20
+    statistic = sum((count - expected) ** 2 / expected for count in counts.values())
+    assert statistic < _CHI2_19_AT_0_999
+
+
+@pytest.mark.parametrize("size, team_size", [(4, 4), (9, 3), (40, 6)])
+def test_key_blocks_leave_the_rows_and_the_stream_unchanged(size, team_size):
+    num_teams = 2 * assembly._KEY_ROWS + 5
+    results = []
+    for block in (1, 7, assembly._KEY_ROWS, num_teams):
+        rng = np.random.default_rng(99)
+        with patch.object(assembly, "_KEY_ROWS", block):
+            rows = _sample_rows(size, num_teams, team_size, rng)
+        results.append((rows.tolist(), rng.bit_generator.state))
+    assert all(result == results[0] for result in results[1:])
+    assert np.array_equal(np.sort(rows, axis=1), rows)
+
+
+@pytest.mark.parametrize("block", [1, 1024])
+@pytest.mark.parametrize("build", [_ring_instance, _fallback_instance, _synthetic_instance])
+def test_pipeline_counts_equal_the_per_copy_reference_across_key_blocks(build, block):
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        pool, project, team_size = build(rng)
+        num_teams = int(rng.choice([1, 60, 1500]))
+        seed = int(rng.integers(2**32))
+        want, _ = _per_copy_reference(pool, project, team_size, num_teams, seed)
+        with patch.object(assembly, "_KEY_ROWS", block):
+            got, front, copies = _run_pipeline(
+                pool, project, team_size, num_teams, project_rng(seed, project.id), None
+            )
+        assert got == want
+        assert len(copies) == want.pareto_team_count
+        assert len({team.member_ids() for team, _ in front}) == len(front)
+
+
+def test_a_fallback_front_draws_nothing():
+    pool, project, team_size = _fallback_instance(np.random.default_rng(5))
+    rng = project_rng(3, project.id)
+    diagnostics, front, copies = _run_pipeline(pool, project, team_size, 500, rng, None)
+    assert diagnostics.used_fallback_team and diagnostics.teams_sampled == 1
+    assert [team.member_ids() for team, _ in front] == [("a-only", "b-only")]
+    assert copies.tolist() == [0]
+    assert rng.bit_generator.state == project_rng(3, project.id).bit_generator.state
+
+
+def test_invalid_arguments_draw_no_rows():
+    pool, project, team_size = _ring_instance(np.random.default_rng(1))
+    overrides = ({"team_size": 2}, {"team_size": 6}, {"num_teams": 0}, {"seed": -1})
+    with patch.object(assembly, "_sample_rows", side_effect=AssertionError("drew rows")):
+        for override in overrides + ({"selections": [SelectionMode.TOP_SUM, "top-cost"]},):
+            knobs = {"team_size": team_size, "num_teams": 50, "seed": 0, **override}
+            with pytest.raises(ValueError):
+                assemble_all_selections(pool, project, **knobs)
+
+
+# -- coverage by masks and de-duplication against the scalar references --------
+
+_COSTS = (0.1, 0.2, 0.3, 0.7, 1.1, 3.3, 1e-3)
+
+
+@st.composite
+def _instances(draw):
+    """A pool over 2-70 requirements, so masks past bit 62 are common, where
+    each candidate lacks a few of them; now and then one candidate takes
+    another's id."""
+    width = draw(st.sampled_from([2, 3, 5, 63, 70]))
+    skills = [f"k{j:02d}" for j in range(width)]
+    pool = []
+    for i in range(draw(st.integers(1, 9))):
+        missing = draw(st.sets(st.integers(0, width - 1), max_size=min(width - 1, 6)))
+        palette = draw(st.lists(st.sampled_from(_COSTS), min_size=1, max_size=3))
+        profile = {
+            skill: palette[j % len(palette)] for j, skill in enumerate(skills) if j not in missing
+        }
+        pool.append(Candidate(f"m{i}", draw(st.sampled_from(AttributeClass)), profile))
+    for source, target in draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=1)):
+        twin = pool[target % len(pool)]
+        pool[target % len(pool)] = Candidate(
+            pool[source % len(pool)].id, twin.attribute, twin.cost_profile
+        )
+    return pool, Project("wide", frozenset(skills)), draw(st.integers(1, 4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(instance=_instances(), data=st.data())
+def test_mask_coverage_and_dedup_equal_the_scalar_references(instance, data):
+    pool, project, team_size = instance
+    view = project_view(pool, project)
+    members = [view.matching[i] for i in _front_rows(view.costs).tolist()]
+    rows = np.arange(len(members))[None]  # the fallback team when too few members
+    if len(members) >= team_size:
+        subsets = st.sets(st.integers(0, len(members) - 1), min_size=team_size, max_size=team_size)
+        distinct = data.draw(st.lists(subsets.map(sorted), min_size=1, max_size=6))
+        rows = np.array(data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=24)))
+
+    def sampler(size, num_teams, k, rng):
+        assert (size, num_teams, k) == (len(members), len(rows), team_size)
+        return rows
+
+    scored = Counter()
+
+    def counted_vector(team, project):
+        scored[team.member_ids()] += 1
+        return objective_vector(team, project)
+
+    with patch.object(assembly, "_sample_rows", sampler):
+        try:
+            teams = form_random_teams(members, len(rows), team_size, 0)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                _run_pipeline(pool, project, team_size, len(rows), None, view)
+            return
+        with patch.object(assembly, "objective_vector", counted_vector):
+            diagnostics, front, copies = _run_pipeline(
+                pool, project, team_size, len(rows), None, view
+            )
+
+    wanted = len(project.requirements)
+    covered = [team for team in teams if coverage(team, project) == wanted]
+    vectors = [objective_vector(team, project).as_tuple() for team in covered]
+    kept = pareto_front(list(enumerate(vectors))) if covered else []
+    assert diagnostics.teams_sampled == len(teams)
+    assert diagnostics.full_coverage_count == len(covered)
+    assert diagnostics.pareto_team_count == len(kept) == len(copies)
+    assert [front[k][0] for k in copies] == [covered[i] for i in kept]
+    assert [front[k][1].as_tuple() for k in copies] == [vectors[i] for i in kept]
+    # one Team and one vector per distinct covering row
+    assert scored == Counter({team.member_ids(): 1 for team in covered})
+    assert sorted(team.member_ids() for team, _ in front) == sorted(
+        {covered[i].member_ids() for i in kept}
+    )

@@ -218,3 +218,14 @@ def test_seventy_requirements_keep_every_mask_bit():
         assert expected.formed
         assert assemble(pool, project) == expected
         assert assemble(pool, project, view=view) == expected
+
+
+def test_an_indexed_profile_cannot_be_edited_behind_the_view():
+    pool = [Candidate("m", AttributeClass.ZERO, {"a": 1.0})]
+    project = Project("p", frozenset({"a", "b"}))
+    _assert_view_matches(pool, project)
+    with pytest.raises(TypeError):
+        pool[0].cost_profile["b"] = 2.0
+    view = _assert_view_matches(pool, project)
+    assert view.costs.tolist() == [[1.0, float("inf")]]
+    assert view.loads == [1.0]
