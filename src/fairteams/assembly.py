@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,8 +76,6 @@ class AssemblyDiagnostics:
 class AssemblyOutcome:
     """Result of one assembly attempt: the team (if any) plus diagnostics."""
 
-    method: str
-    selection: SelectionMode | None
     team: Team | None
     objectives: ObjectiveVector | None
     diagnostics: AssemblyDiagnostics
@@ -160,7 +158,13 @@ def _skill_index(snapshot: tuple[Candidate, ...]) -> _SkillIndex:
 def _build_index(pool: Sequence[Candidate]) -> _SkillIndex:
     positions: dict[str, list[int]] = {}
     costs: dict[str, list[float]] = {}
+    first_at: dict[str, int] = {}
     for position, candidate in enumerate(pool):
+        first = first_at.setdefault(candidate.id, position)
+        if first != position:
+            raise ValueError(
+                f"candidate id {candidate.id!r} repeats at pool positions {first} and {position}"
+            )
         for skill, cost in candidate.cost_profile.items():
             if skill not in positions:
                 positions[skill], costs[skill] = [], []
@@ -174,7 +178,8 @@ def _build_index(pool: Sequence[Candidate]) -> _SkillIndex:
 
 def project_view(pool: Sequence[Candidate], project: Project) -> ProjectView:
     """Match the pool against `project` through the pool's skill index; an
-    empty pool gives an empty view.
+    empty pool gives an empty view, and a pool with a repeated id raises
+    `ValueError` when it is indexed.
 
     The assemblers report an empty pool themselves, each in its own order.
     """
@@ -293,9 +298,6 @@ def _run_pipeline(
         rows = _sample_rows(len(members), num_teams, team_size, rng)
     else:
         rows = np.empty((0, team_size), dtype=np.intp)
-    if len({member.id for member in members}) < len(members):
-        for row in rows.tolist():  # the first draw naming one id twice raises as `Team` does
-            Team(members[i] for i in row)
     # one opaque byte string per row: np.unique sorts these several times
     # faster than rows compared column by column, and the order is not used
     width = rows.shape[1]
@@ -359,18 +361,15 @@ def _select_index(
     sums: Sequence[float],
     selection: SelectionMode,
     rng: np.random.Generator,
-    copies: np.ndarray | None = None,
+    copies: np.ndarray,
 ) -> int:
     """Index of the pick in `front`; `sums` are the front's normalized sums.
 
     `random` draws one copy: an entry of `copies`, which maps each sampled
-    copy to its place in `front` (by default every entry is one copy). Every
-    other mode takes the least (value on its axis, normalized sum, member
-    ids); `top-sum` has no axis and reads 0.0.
+    copy to its place in `front`. Every other mode takes the least (value on
+    its axis, normalized sum, member ids); `top-sum` has no axis and reads 0.0.
     """
     if selection is SelectionMode.RANDOM:
-        if copies is None:
-            return int(rng.integers(len(front)))
         return int(copies[rng.integers(len(copies))])
     axis = _OBJECTIVE_AXIS.get(selection)
     keys = [
@@ -387,33 +386,26 @@ def assemble_all_selections(
     team_size: int,
     num_teams: int,
     seed: int,
-    selections: Iterable[SelectionMode] = tuple(SelectionMode),
     view: ProjectView | None = None,
 ) -> dict[SelectionMode, AssemblyOutcome]:
-    """Run the two-stage pipeline once; one outcome per distinct selection mode.
+    """Run the two-stage pipeline once; one outcome per selection mode.
 
     Raises `ValueError`, before any sampling, unless `team_size` is at least
     3 and smaller than the pool, `num_teams` is at least 1, `seed` fits in
-    64 unsigned bits and `selections` names at least one `SelectionMode` and
-    nothing else. An outcome has no team when no sampled team covers every
-    requirement; its diagnostics are populated either way.
+    64 unsigned bits and the pool's ids are distinct. An outcome has no team
+    when no sampled team covers every requirement; its diagnostics are
+    populated either way.
 
     The modes share the sampling draws, and only `random` reads the generator
-    after sampling, once, so each mode picks what it would pick alone,
-    however the modes are ordered. `view`, if given, must be
+    after sampling, once. `view`, if given, must be
     `project_view(pool, project)`; it is built when absent.
     """
-    modes = list(dict.fromkeys(selections))
     if team_size < 3:
         raise ValueError(f"team_size must be at least 3, got {team_size}")
     if num_teams < 1:
         raise ValueError(f"num_teams must be at least 1, got {num_teams}")
     if not 0 <= seed < _MAX_SEED:
         raise ValueError("seed must fit in 64 unsigned bits")
-    if not modes:
-        raise ValueError("selections must name at least one SelectionMode")
-    if not all(isinstance(mode, SelectionMode) for mode in modes):
-        raise ValueError("selection must be a SelectionMode")
     if team_size >= len(pool):
         raise ValueError(
             f"team_size {team_size} must be smaller than the pool ({len(pool)} candidates)"
@@ -422,25 +414,23 @@ def assemble_all_selections(
     diagnostics, front, copies = _run_pipeline(pool, project, team_size, num_teams, rng, view)
     sums = _normalized_sums([vector for _, vector in front])
     outcomes: dict[SelectionMode, AssemblyOutcome] = {}
-    for mode in modes:
+    for mode in SelectionMode:
         team = vector = None
         if front:
             team, vector = front[_select_index(front, sums, mode, rng, copies)]
-        outcomes[mode] = AssemblyOutcome("multi", mode, team, vector, diagnostics)
+        outcomes[mode] = AssemblyOutcome(team, vector, diagnostics)
     return outcomes
 
 
 def _best_addition(
     view: ProjectView,
     uncovered: int,
-    chosen_ids: set[str],
     attribute: AttributeClass | None,
 ) -> int | None:
     """Index of the cheapest-per-new-requirement candidate; ties by lower cost, then id.
 
     `uncovered` is the mask of requirements no chosen member offers yet, so a
-    chosen member adds nothing; `chosen_ids` also bars another pool entry
-    sharing a chosen id.
+    chosen member adds nothing.
     """
     best: int | None = None
     best_key: tuple[float, float, str] | None = None
@@ -450,8 +440,6 @@ def _best_addition(
             continue
         candidate = view.matching[i]
         if attribute is not None and candidate.attribute is not attribute:
-            continue
-        if candidate.id in chosen_ids:
             continue
         load = view.loads[i]
         key = (load / newly_covered, load, candidate.id)
@@ -463,7 +451,6 @@ def _best_addition(
 def _greedy_assemble(
     pool: Sequence[Candidate],
     project: Project,
-    method: str,
     balance_classes: bool,
     view: ProjectView | None,
 ) -> AssemblyOutcome:
@@ -474,29 +461,27 @@ def _greedy_assemble(
     diagnostics = AssemblyDiagnostics(len(pool), len(view.matching))
 
     chosen: list[Candidate] = []
-    chosen_ids: set[str] = set()
     uncovered = (1 << len(project.sorted_requirements)) - 1
     counts = {AttributeClass.ZERO: 0, AttributeClass.ONE: 0}
     costs = {AttributeClass.ZERO: 0.0, AttributeClass.ONE: 0.0}
     while uncovered:
         if balance_classes:
             preferred = min(AttributeClass, key=lambda c: (counts[c], costs[c], c.value))
-            pick = _best_addition(view, uncovered, chosen_ids, preferred)
+            pick = _best_addition(view, uncovered, preferred)
             if pick is None:
-                pick = _best_addition(view, uncovered, chosen_ids, preferred.other())
+                pick = _best_addition(view, uncovered, preferred.other())
         else:
-            pick = _best_addition(view, uncovered, chosen_ids, None)
+            pick = _best_addition(view, uncovered, None)
         if pick is None:
-            return AssemblyOutcome(method, None, None, None, diagnostics)
+            return AssemblyOutcome(None, None, diagnostics)
         candidate = view.matching[pick]
         chosen.append(candidate)
-        chosen_ids.add(candidate.id)
         uncovered &= ~view.masks[pick]
         counts[candidate.attribute] += 1
         costs[candidate.attribute] += view.loads[pick]
 
     team = Team(chosen)
-    return AssemblyOutcome(method, None, team, objective_vector(team, project), diagnostics)
+    return AssemblyOutcome(team, objective_vector(team, project), diagnostics)
 
 
 def assemble_incremental(
@@ -508,7 +493,7 @@ def assemble_incremental(
     requirements. Stops at full coverage; team size is whatever that takes.
     `view`, if given, must be `project_view(pool, project)`.
     """
-    return _greedy_assemble(pool, project, "incremental", balance_classes=False, view=view)
+    return _greedy_assemble(pool, project, balance_classes=False, view=view)
 
 
 def assemble_fair_allocation(
@@ -521,4 +506,4 @@ def assemble_fair_allocation(
     to the other class when no preferred-class candidate adds coverage.
     `view`, if given, must be `project_view(pool, project)`.
     """
-    return _greedy_assemble(pool, project, "fair-alloc", balance_classes=True, view=view)
+    return _greedy_assemble(pool, project, balance_classes=True, view=view)

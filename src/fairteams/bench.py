@@ -95,7 +95,6 @@ def _evaluate_project(
     seed: int,
 ) -> list[OutcomeRecord]:
     view = project_view(pool, project)
-    modes = [t.selection for t in targets if t.method == "multi"]
     multi = (
         assemble_all_selections(
             pool,
@@ -103,10 +102,9 @@ def _evaluate_project(
             team_size=team_size,
             num_teams=num_teams,
             seed=seed,
-            selections=modes,
             view=view,
         )
-        if modes
+        if any(t.method == "multi" for t in targets)
         else {}
     )
     records = []

@@ -150,16 +150,19 @@ def _print_outcome(project, record: OutcomeRecord) -> None:
             f"cost {o.cost:.3f} | workload {o.workload:.3f} | expertise {o.expertise:.3f}"
             f" | representation {o.representation:.3f} | cost-difference {o.cost_difference:.3f}"
         )
+    candidates = f"candidates: {diag.pool_size} in pool, {diag.filtered_size} with matching skills"
+    if record.target.method != "multi":  # the greedy methods keep no candidate front
+        print(candidates)
+        return
     print(
-        f"candidates: {diag.pool_size} in pool, {diag.filtered_size} with matching skills,"
-        f" {diag.pareto_candidate_count} kept ({diag.candidate_reduction:.1%} reduction)"
+        f"{candidates}, {diag.pareto_candidate_count} kept"
+        f" ({diag.candidate_reduction:.1%} reduction)"
     )
-    if record.target.method == "multi":
-        print(
-            f"teams: {diag.teams_sampled} sampled, {diag.full_coverage_count} full coverage,"
-            f" {diag.pareto_team_count} kept ({diag.team_reduction:.1%} reduction)"
-            + (" [fallback: pool smaller than team size]" if diag.used_fallback_team else "")
-        )
+    print(
+        f"teams: {diag.teams_sampled} sampled, {diag.full_coverage_count} full coverage,"
+        f" {diag.pareto_team_count} kept ({diag.team_reduction:.1%} reduction)"
+        + (" [fallback: candidate front smaller than team size]" if diag.used_fallback_team else "")
+    )
 
 
 def _cmd_assemble(args) -> int:

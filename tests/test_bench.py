@@ -175,6 +175,28 @@ def test_shared_view_equals_separate_assembler_calls():
     assert not any(r.outcome.formed for r in records if r.project_id == "alien")
 
 
+def test_restricted_targets_leave_each_record_unchanged():
+    # a class-zero share of 0.1 sends fair-alloc to its fallback class
+    pool = synthesize_pool(
+        SynthesisSpec(
+            pool_size=40, skill_universe_size=10, max_skills=3, class_zero_share=0.1, seed=21
+        )
+    )
+    projects = synthesize_projects(8, 10, min_requirements=2, max_requirements=5, seed=22)
+    _, everything = run_benchmark(pool, projects, team_size=3, num_teams=60, seed=5)
+    for labels in (["multi/random", "multi/top-cost"], ["incremental"]):
+        targets = [target for target in DEFAULT_TARGETS if target.label in labels]
+        _, records = run_benchmark(pool, projects, targets, team_size=3, num_teams=60, seed=5)
+        assert [record.target.label for record in records] == labels * len(projects)
+        assert records == [record for record in everything if record.target in targets]
+    # the random pick has more than one front copy to choose from
+    assert any(
+        record.outcome.diagnostics.pareto_team_count > 1
+        for record in everything
+        if record.target.selection is SelectionMode.RANDOM
+    )
+
+
 @pytest.mark.parametrize(
     "pool_size, targets, team_size, message",
     [

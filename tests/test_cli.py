@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,8 @@ PROJECTS = """id,skills
 p1,java;sql
 p2,python;java
 """
+
+PINNED = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -139,6 +142,23 @@ def test_assemble_prints_the_bench_log_row(tmp_path, capsys, method_args, method
         assert ";".join(members) == row["member_ids"]
 
 
+def test_assemble_reports_a_candidate_front_only_for_multi(capsys):
+    files = ["--pool", str(PINNED / "pinned_pool.csv")]
+    files += ["--projects", str(PINNED / "pinned_projects.csv")]
+    knobs = ["--attr-proportion", "0.1", "--seed", "7", "--team-size", "4", "--num-teams", "200"]
+    assert main(["assemble", *files, *knobs, "--method", "incremental"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "candidates: 60 in pool, 46 with matching skills"
+    )
+    # p003's candidate front holds three people, fewer than the team size
+    assert main(["assemble", *files, *knobs, "--project-id", "p003"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "candidates: 60 in pool, 24 with matching skills, 3 kept (87.5% reduction)",
+        "teams: 1 sampled, 1 full coverage, 1 kept (0.0% reduction)"
+        " [fallback: candidate front smaller than team size]",
+    ]
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["assemble", "--pool", str(tmp_path / "x.csv")]) == 1
     assert main(["bench"]) == 1
@@ -195,6 +215,13 @@ def test_data_errors_exit_2(data, tmp_path, capsys):
     ]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
+    twins = tmp_path / "twins.csv"
+    twins.write_text(POOL + "u1,0.05,1,java\n", encoding="utf-8")
+    for command in ("bench", "assemble"):
+        assert main([command, "--pool", str(twins), "--projects", str(projects)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {twins}: line 7: duplicate candidate id 'u1'\n"
+        )
 
 
 @pytest.mark.parametrize("name, where", [("huge.csv", "line 2"), ("huge.json", "record 1")])

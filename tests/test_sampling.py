@@ -9,7 +9,6 @@ the pipeline against `form_random_teams`, `coverage`, `objective_vector` and
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from unittest.mock import patch
 
@@ -22,7 +21,6 @@ from fairteams import (
     AttributeClass,
     Candidate,
     Project,
-    SelectionMode,
     assemble_all_selections,
     coverage,
     form_random_teams,
@@ -100,7 +98,7 @@ def test_invalid_arguments_draw_no_rows():
     pool, project, team_size = _ring_instance(np.random.default_rng(1))
     overrides = ({"team_size": 2}, {"team_size": 6}, {"num_teams": 0}, {"seed": -1})
     with patch.object(assembly, "_sample_rows", side_effect=AssertionError("drew rows")):
-        for override in overrides + ({"selections": [SelectionMode.TOP_SUM, "top-cost"]},):
+        for override in overrides:
             knobs = {"team_size": team_size, "num_teams": 50, "seed": 0, **override}
             with pytest.raises(ValueError):
                 assemble_all_selections(pool, project, **knobs)
@@ -113,9 +111,8 @@ _COSTS = (0.1, 0.2, 0.3, 0.7, 1.1, 3.3, 1e-3)
 
 @st.composite
 def _instances(draw):
-    """A pool over 2-70 requirements, so masks past bit 62 are common, where
-    each candidate lacks a few of them; now and then one candidate takes
-    another's id."""
+    """A pool of distinct ids over 2-70 requirements, so masks past bit 62 are
+    common, where each candidate lacks a few of them."""
     width = draw(st.sampled_from([2, 3, 5, 63, 70]))
     skills = [f"k{j:02d}" for j in range(width)]
     pool = []
@@ -126,11 +123,6 @@ def _instances(draw):
             skill: palette[j % len(palette)] for j, skill in enumerate(skills) if j not in missing
         }
         pool.append(Candidate(f"m{i}", draw(st.sampled_from(AttributeClass)), profile))
-    for source, target in draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=1)):
-        twin = pool[target % len(pool)]
-        pool[target % len(pool)] = Candidate(
-            pool[source % len(pool)].id, twin.attribute, twin.cost_profile
-        )
     return pool, Project("wide", frozenset(skills)), draw(st.integers(1, 4))
 
 
@@ -157,12 +149,7 @@ def test_mask_coverage_and_dedup_equal_the_scalar_references(instance, data):
         return objective_vector(team, project)
 
     with patch.object(assembly, "_sample_rows", sampler):
-        try:
-            teams = form_random_teams(members, len(rows), team_size, 0)
-        except ValueError as error:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
-                _run_pipeline(pool, project, team_size, len(rows), None, view)
-            return
+        teams = form_random_teams(members, len(rows), team_size, 0)
         with patch.object(assembly, "objective_vector", counted_vector):
             diagnostics, front, copies = _run_pipeline(
                 pool, project, team_size, len(rows), None, view

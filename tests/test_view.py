@@ -9,6 +9,7 @@ per-candidate scan, `matched_cost`, a per-skill mask loop and
 
 from __future__ import annotations
 
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -21,12 +22,14 @@ from fairteams import (
     Candidate,
     InfeasibleProjectError,
     Project,
+    assemble_all_selections,
     assemble_fair_allocation,
     assemble_incremental,
     candidate_scores,
     filter_candidates,
     matched_cost,
     pareto_candidates,
+    run_benchmark,
 )
 from fairteams import assembly
 from fairteams.assembly import project_view
@@ -81,10 +84,10 @@ def _assert_view_matches(pool, project):
 
 
 @st.composite
-def _candidates(draw):
+def _candidates(draw, cid):
     skills = draw(st.lists(st.sampled_from(_OFFERED), min_size=1, max_size=10, unique=True))
     return Candidate(
-        draw(st.sampled_from(["m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"])),
+        cid,
         draw(st.sampled_from(AttributeClass)),
         {skill: draw(st.sampled_from(_COSTS)) for skill in skills},
     )
@@ -92,12 +95,9 @@ def _candidates(draw):
 
 @st.composite
 def _instances(draw):
-    """A pool with repeated ids and repeated objects, plus projects of 1-12
-    requirements, so rows of eight or more requirements are common."""
-    pool = draw(st.lists(_candidates(), max_size=16))
-    for position in draw(st.lists(st.integers(0, 15), max_size=3)):
-        if pool:
-            pool.append(pool[position % len(pool)])
+    """A pool of 0-16 distinct ids, plus projects of 1-12 requirements, so
+    rows of eight or more requirements are common."""
+    pool = [draw(_candidates(f"m{i:02d}")) for i in range(draw(st.integers(0, 16)))]
     projects = [
         Project(f"p{k}", frozenset(requirements))
         for k, requirements in enumerate(
@@ -110,7 +110,7 @@ def _instances(draw):
             )
         )
     ]
-    return pool, projects, draw(_candidates()), draw(st.integers(0, 15))
+    return pool, projects, draw(_candidates("newcomer")), draw(st.integers(0, 15))
 
 
 @settings(deadline=None, max_examples=300)
@@ -154,6 +154,39 @@ def test_an_equal_pool_takes_over_the_index_without_a_rebuild():
     assert builds == [tuple(pool)]
     # the copy is the snapshot now, so later calls compare by pointer
     assert all(a is b for a, b in zip(assembly._POOL_INDEX[0], copy))
+
+
+def test_a_repeated_id_is_rejected_by_every_entry_point_before_sampling():
+    # the twin offers every requirement cheaply, so it would reach both fronts
+    pool = [
+        Candidate(f"c{i}", AttributeClass(i % 2), {"a": 0.1 * (i + 1), f"s{i % 4}": 0.3})
+        for i in range(12)
+    ]
+    pool.append(Candidate("c0", AttributeClass.ONE, {"a": 0.05, "s1": 0.05, "s2": 0.05}))
+    project = Project("p", frozenset({"a", "s1", "s2"}))
+    message = "candidate id 'c0' repeats at pool positions 0 and 12"
+    entry_points = (
+        lambda seed: project_view(pool, project),
+        lambda seed: assemble_incremental(pool, project),
+        lambda seed: assemble_fair_allocation(pool, project),
+        lambda seed: assemble_all_selections(pool, project, team_size=3, num_teams=50, seed=seed),
+        lambda seed: run_benchmark(pool, [project], team_size=3, num_teams=50, seed=seed),
+    )
+    project_view([], project)  # index some other pool first
+    before = assembly._POOL_INDEX
+    with patch.object(assembly, "_sample_rows", side_effect=AssertionError("drew rows")):
+        for seed in range(12):
+            for call in entry_points:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call(seed)
+                assert assembly._POOL_INDEX is before
+
+    pool[12] = Candidate("c12", AttributeClass.ONE, {"a": 0.05, "s1": 0.05, "s2": 0.05})
+    _assert_view_matches(pool, project)
+    for seed in range(3):
+        outcomes = [call(seed) for call in entry_points[1:4]]
+        assert outcomes[0].formed and outcomes[1].formed
+        assert all(outcome.formed for outcome in outcomes[2].values())
 
 
 def test_the_cost_palette_tells_summation_orders_apart():
@@ -210,11 +243,11 @@ def test_seventy_requirements_keep_every_mask_bit():
 
     view = _assert_view_matches(pool, project)
     assert max(view.masks).bit_length() == 70
-    for assemble, method, balance_classes in (
-        (assemble_incremental, "incremental", False),
-        (assemble_fair_allocation, "fair-alloc", True),
+    for assemble, balance_classes in (
+        (assemble_incremental, False),
+        (assemble_fair_allocation, True),
     ):
-        expected = _reference_greedy(pool, project, method, balance_classes)
+        expected = _reference_greedy(pool, project, balance_classes)
         assert expected.formed
         assert assemble(pool, project) == expected
         assert assemble(pool, project, view=view) == expected
