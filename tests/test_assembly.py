@@ -19,6 +19,7 @@ from fairteams import (
     InfeasibleProjectError,
     ObjectiveVector,
     Project,
+    RunTarget,
     SelectionMode,
     SynthesisSpec,
     Team,
@@ -35,6 +36,7 @@ from fairteams import (
     pareto_candidates,
     pareto_front,
     project_rng,
+    run_benchmark,
     synthesize_pool,
 )
 from fairteams.assembly import _normalized_sums, _select_index, project_view
@@ -331,6 +333,46 @@ def test_all_configs_agree_when_one_team_dominates():
     assert set(picked.values()) == {("c0003", "c0004", "c0007")}
     sample = outcomes[SelectionMode.TOP_SUM].diagnostics
     assert sample.full_coverage_count >= 5
+
+
+def _benchmark_outcomes(pool, project, modes, *, team_size, num_teams, seed):
+    """The multi outcomes of a benchmark run that asks for `modes` only."""
+    targets = [RunTarget("multi", mode) for mode in modes]
+    _, records = run_benchmark(
+        pool, [project], targets, team_size=team_size, num_teams=num_teams, seed=seed
+    )
+    assert [record.target for record in records] == targets
+    return [record.outcome for record in records]
+
+
+def test_all_selections_equal_individual_runs(small_pool, small_project):
+    shared = assemble_all_selections(
+        small_pool, small_project, team_size=4, num_teams=150, seed=31
+    )
+    for mode in ALL_MODES:
+        (single,) = _benchmark_outcomes(
+            small_pool, small_project, [mode], team_size=4, num_teams=150, seed=31
+        )
+        assert shared[mode].formed and single.formed
+        assert shared[mode].team.member_ids() == single.team.member_ids()
+        assert shared[mode].diagnostics == single.diagnostics
+
+
+def test_random_pick_ignores_the_other_requested_modes(small_pool, small_project):
+    # only `random` reads the generator after sampling, and reads it once
+    def random_pick(modes):
+        outcomes = _benchmark_outcomes(
+            small_pool, small_project, modes, team_size=4, num_teams=150, seed=31
+        )
+        (picked,) = [
+            outcome for mode, outcome in zip(modes, outcomes) if mode is SelectionMode.RANDOM
+        ]
+        assert picked.diagnostics.pareto_team_count > 1
+        return picked.team.member_ids()
+
+    alone = random_pick([SelectionMode.RANDOM])
+    assert random_pick(list(reversed(ALL_MODES))) == alone
+    assert random_pick(list(ALL_MODES)) == alone
 
 
 def test_top_modes_reach_the_sampled_minimum(small_pool, small_project):
