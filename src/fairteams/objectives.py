@@ -48,9 +48,13 @@ def team_cost(team: Team, project: Project) -> float:
 
 
 def _spread(values: Sequence[float], total: float) -> float:
-    """Population standard deviation of `values` around the mean `total / len(values)`."""
+    """Population standard deviation of `values` around the mean `total / len(values)`.
+
+    Each deviation is squared as `d * d`, an exact IEEE product; `d ** 2`
+    goes through libm `pow`, which can differ in the last bit.
+    """
     mean = total / len(values)
-    return math.sqrt(sum((value - mean) ** 2 for value in values) / len(values))
+    return math.sqrt(sum((value - mean) * (value - mean) for value in values) / len(values))
 
 
 def workload_unevenness(team: Team, project: Project) -> float:
