@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import AttributeClass, Candidate, ObjectiveVector, Project, Team
 from .model import coverage  # noqa: F401  the scalar reference; tracers wrap it under this name
-from .objectives import objective_vector
+from .objectives import objective_vector, row_objectives
 from .pareto import _front_rows, pareto_front
 
 
@@ -275,6 +275,25 @@ def form_random_teams(
     return [Team(candidates[i] for i in row) for row in rows.tolist()]
 
 
+def _id_ordered(
+    view: ProjectView, front_rows: list[int], members: list[Candidate], rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`row_objectives`' inputs for `rows` of positions into `members`.
+
+    The members are ranked by id, which are distinct, and each row is mapped
+    to ranks and sorted, so every sum runs in the member order of `Team`.
+    """
+    by_id = sorted(range(len(members)), key=lambda i: members[i].id)
+    rank = np.empty(len(members), dtype=np.intp)
+    rank[by_id] = np.arange(len(members))
+    picked = [front_rows[i] for i in by_id]
+    loads = np.array([view.loads[i] for i in picked])
+    zero = np.array([members[i].attribute is AttributeClass.ZERO for i in by_id])
+    offered = view.costs[picked]
+    costs = np.where(np.isfinite(offered), offered, 0.0)
+    return np.sort(rank[rows], axis=1), loads, zero, costs
+
+
 def _run_pipeline(
     pool: Sequence[Candidate],
     project: Project,
@@ -306,23 +325,24 @@ def _run_pipeline(
     masks = [view.masks[i] for i in front_rows]
     full = (1 << len(project.sorted_requirements)) - 1
     covers = np.zeros(len(distinct), dtype=bool)
-    scored: list[tuple[Team, ObjectiveVector]] = []
     for d, row in enumerate(distinct.tolist()):
         union = 0
         for i in row:
             union |= masks[i]
-        if union == full:
-            covers[d] = True
-            team = Team(members[i] for i in row)
-            scored.append((team, objective_vector(team, project)))
+        covers[d] = union == full
     # Copies of a team share their objectives and never dominate each other,
     # so the front is taken over the distinct covering teams; `place` holds
     # each distinct row's index on it, or -1.
     place = np.full(len(distinct), -1)
     front: list[tuple[Team, ObjectiveVector]] = []
-    if scored:
-        kept = pareto_front([(k, vector.as_tuple()) for k, (_, vector) in enumerate(scored)])
-        front = [scored[k] for k in kept]
+    covering = distinct[covers]
+    if len(covering):
+        scores = row_objectives(*_id_ordered(view, front_rows, members, covering), block=_KEY_ROWS)
+        kept = _front_rows(scores)
+        front = [
+            (Team(members[i] for i in row), ObjectiveVector(*vector))
+            for row, vector in zip(covering[kept].tolist(), scores[kept].tolist())
+        ]
         place[np.flatnonzero(covers)[kept]] = np.arange(len(kept))
     copies = place[draws]
     copies = copies[copies >= 0]

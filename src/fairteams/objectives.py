@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .model import AttributeClass, Candidate, ObjectiveVector, Project, Team
 
 
@@ -91,10 +93,13 @@ def representation_parity(team: Team) -> float:
     return abs(zeros - ones) / len(team)
 
 
+_ZERO_COST = "cost difference is undefined for a team with zero matched cost"
+
+
 def _normalized_gap(costs: dict[AttributeClass, float]) -> float:
     total = costs[AttributeClass.ZERO] + costs[AttributeClass.ONE]
     if total == 0.0:
-        raise ValueError("cost difference is undefined for a team with zero matched cost")
+        raise ValueError(_ZERO_COST)
     return abs(costs[AttributeClass.ZERO] - costs[AttributeClass.ONE]) / total
 
 
@@ -118,3 +123,59 @@ def objective_vector(team: Team, project: Project) -> ObjectiveVector:
         representation=representation_parity(team),
         cost_difference=_normalized_gap(costs),
     )
+
+
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Sums over axis 1, added left to right as Python's `sum` does.
+
+    `np.sum` adds eight running partial sums from eight items on, which
+    rounds differently from one left-to-right pass.
+    """
+    return np.cumsum(values, axis=1)[:, -1]
+
+
+def row_objectives(
+    rows: np.ndarray, loads: np.ndarray, zero: np.ndarray, costs: np.ndarray, *, block: int
+) -> np.ndarray:
+    """The objective vectors of many teams at once, one row of five per team.
+
+    Row i of the n x k integer matrix `rows` lists a team's members as
+    positions into `loads` (each member's `matched_cost`), `zero` (True for
+    class zero) and `costs` (the member's cost per sorted requirement, 0.0
+    where not offered). Every sum runs along the row, so when each row lists
+    its members in id order, row i equals `objective_vector` of that team bit
+    for bit. Rows are scored `block` at a time, so memory stays at
+    `block` x k x r doubles; the result does not depend on `block`.
+
+    Raises the `ValueError` that `objective_vector` raises for the first row
+    with a zero cost or an objective that is not finite, whether or not that
+    row would reach the team front.
+    """
+    count, size = rows.shape
+    width = costs.shape[1]
+    scores = np.empty((count, 5))
+    # overflow and 0/0 give inf and nan here, as in Python float arithmetic;
+    # the check after the loop reports them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, count, block):
+            part = rows[start : start + block]
+            member_loads, is_zero = loads[part], zero[part]
+            cost_zero = _row_sums(np.where(is_zero, member_loads, 0.0))
+            cost_one = _row_sums(np.where(is_zero, 0.0, member_loads))
+            total = cost_zero + cost_one
+            spread = member_loads - (total / size)[:, None]
+            totals = _row_sums(costs[part])
+            gaps = totals - (total / width)[:, None]
+            out = scores[start : start + block]
+            out[:, 0] = total
+            out[:, 1] = np.sqrt(_row_sums(spread * spread) / size)
+            out[:, 2] = np.sqrt(_row_sums(gaps * gaps) / width)
+            out[:, 3] = np.abs(2 * np.count_nonzero(is_zero, axis=1) - size) / size
+            out[:, 4] = np.abs(cost_zero - cost_one) / total
+    bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    if bad.size:
+        first = scores[bad[0]].tolist()
+        if first[0] == 0.0:  # 0/0 left nan in its cost difference
+            raise ValueError(_ZERO_COST)
+        ObjectiveVector(*first)  # raises naming the objective that is not finite
+    return scores

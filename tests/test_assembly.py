@@ -313,6 +313,48 @@ def test_multi_objective_rejects_degenerate_sizes(demo_members, demo_project):
         _one_mode([], demo_project, SelectionMode.TOP_SUM, team_size=3, num_teams=10, seed=0)
 
 
+_HUGE = 2.0**664
+"""About 1.9e200: sums of it stay exact and finite, but the square of a
+deviation of that size overflows."""
+
+
+def test_overflowing_objectives_raise_the_scalar_error():
+    # every member's load is 2 * _HUGE, so the workload spread is 0.0, while
+    # three pairs over four requirements leave uneven requirement totals
+    pairs = ["ab", "cd", "ac", "bd", "ad", "bc"]
+    pool = [
+        _candidate(f"c{i}", AttributeClass(i % 2), dict.fromkeys(pair, _HUGE))
+        for i, pair in enumerate(pairs)
+    ]
+    project = Project("huge", frozenset("abcd"))
+    with pytest.raises(ValueError, match="objective expertise must be finite"):
+        objective_vector(Team(pool[:3]), project)
+    with pytest.raises(ValueError, match="objective expertise must be finite"):
+        assemble_all_selections(pool, project, team_size=3, num_teams=50, seed=0)
+
+
+@pytest.mark.parametrize("rows", [[[0, 1, 2]], [[1, 2, 3], [0, 1, 2]]], ids=["front", "dominated"])
+def test_an_overflowing_team_raises_on_or_off_the_team_front(rows):
+    """The team holding `huge` has an infinite workload. Alone it is the
+    front; beside the team without it, which is better on every objective,
+    it is dominated. The scalar path raises either way, and so must the
+    pipeline."""
+    pool = [
+        _candidate("huge", AttributeClass.ZERO, {"a": _HUGE, "b": 0.5}),
+        _candidate("even", AttributeClass.ZERO, {"a": 1.0, "b": 1.0}),
+        _candidate("left", AttributeClass.ZERO, {"a": 1.25, "b": 0.75}),
+        _candidate("right", AttributeClass.ZERO, {"a": 0.75, "b": 1.25}),
+    ]
+    project = Project("overflow", frozenset("ab"))
+    with pytest.raises(ValueError, match="objective workload must be finite"):
+        objective_vector(Team(pool[:3]), project)
+    with (
+        patch("fairteams.assembly._sample_rows", lambda *args: np.array(rows)),
+        pytest.raises(ValueError, match="objective workload must be finite"),
+    ):
+        assemble_all_selections(pool, project, team_size=3, num_teams=len(rows), seed=0)
+
+
 def test_all_configs_agree_when_one_team_dominates():
     # frozen instance: every team-level front entry is the same member set,
     # so each selection mode, the random pick included, must return it
@@ -505,12 +547,16 @@ def test_every_mode_picks_from_the_front_alone(sampled, seed):
         vector_of.setdefault(team.member_ids(), vector)  # copies share a vector
     vectors = [vector_of[team.member_ids()] for team in teams]
     front = sorted(oracle_front_indices([vector.as_tuple() for vector in vectors]))
+    ids = sorted(candidate.id for candidate in pool)
+
+    def injected(ranks, *arrays, block):
+        # each row lists its members' ranks in id order
+        keys = [tuple(ids[j] for j in row) for row in ranks.tolist()]
+        return np.array([vector_of[key].as_tuple() for key in keys])
+
     with (
         patch("fairteams.assembly._sample_rows", lambda *args: rows),
-        patch(
-            "fairteams.assembly.objective_vector",
-            lambda team, project: vector_of[team.member_ids()],
-        ),
+        patch("fairteams.assembly.row_objectives", injected),
     ):
         outcomes = assemble_all_selections(
             pool, project, team_size=3, num_teams=len(teams), seed=seed

@@ -1,5 +1,6 @@
 """Objective functions: frozen worked-example values, closed forms, an
-independent naive oracle, and algebraic properties."""
+independent naive oracle, algebraic properties, and the row kernel against
+the scalar vector."""
 
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ from fairteams import (
     team_cost,
     workload_unevenness,
 )
+from fairteams.assembly import _KEY_ROWS, _id_ordered, project_view
+from fairteams.objectives import row_objectives
 
 # frozen targets for the three-member fixture, computed by hand:
 # loads 0.035 / 0.122 / 0.171; per-requirement totals 0.100 / 0.035 / 0.090 / 0.103;
@@ -224,6 +227,11 @@ def test_vector_rejects_a_team_with_zero_matched_cost():
     team = Team([Candidate("c", AttributeClass.ZERO, {"z": 1.0})])
     with pytest.raises(ValueError, match="zero matched cost"):
         objective_vector(team, Project("p", frozenset({"a"})))
+    # the same team as kernel inputs: load 0.0, class zero, requirement not offered
+    with pytest.raises(ValueError, match="zero matched cost"):
+        row_objectives(
+            np.array([[0]]), np.zeros(1), np.ones(1, dtype=bool), np.zeros((1, 1)), block=1
+        )
 
 
 @st.composite
@@ -312,3 +320,54 @@ def test_evaluation_is_bit_reproducible():
     second = objective_vector(team, project)
     assert first.as_tuple() == second.as_tuple()
     assert math.isfinite(first.cost)
+
+
+# -- the row kernel against the scalar vector ----------------------------------
+
+
+@st.composite
+def row_instances(draw):
+    """A pool in a drawn order, often not id order, over 1-70 requirements, where
+    candidates lack some requirements and may all share one class, plus 1-8
+    rows of 1-12 members. From 8 summands on, `np.sum` rounds differently
+    from a left-to-right sum, so half the rows and most requirement sets are
+    that wide."""
+    width = draw(st.sampled_from([1, 3, 7, 8, 9, 16, 63, 70]))
+    skills = [f"k{j:02d}" for j in range(width)]
+    team_size = draw(st.sampled_from([1, 2, 4, 8, 9, 12]))
+    size = team_size + draw(st.integers(0, 3))
+    ids = draw(st.permutations(range(size)))
+    one_class = draw(st.sampled_from([None, *AttributeClass]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = []
+    for position in range(size):
+        missing = draw(st.sets(st.integers(0, width - 1), max_size=min(width - 1, 8)))
+        attribute = draw(st.sampled_from(AttributeClass)) if one_class is None else one_class
+        profile = {
+            skill: float(rng.uniform(1e-3, 10.0))
+            for j, skill in enumerate(skills)
+            if j not in missing
+        }
+        pool.append(Candidate(f"c{ids[position]:02d}", attribute, profile))
+    subsets = st.sets(st.integers(0, size - 1), min_size=team_size, max_size=team_size)
+    rows = draw(st.lists(subsets.map(sorted), min_size=1, max_size=8))
+    return pool, Project("p", frozenset(skills)), np.array(rows)
+
+
+@settings(deadline=None, max_examples=300)
+@given(row_instances())
+def test_row_kernel_equals_objective_vector_bit_for_bit(instance):
+    pool, project, rows = instance
+    view = project_view(pool, project)
+    inputs = _id_ordered(view, list(range(len(view.matching))), view.matching, rows)
+    scores = row_objectives(*inputs, block=_KEY_ROWS)
+    want = [
+        objective_vector(Team(view.matching[i] for i in row), project).as_tuple()
+        for row in rows.tolist()
+    ]
+    assert [tuple(score) for score in scores.tolist()] == want
+    assert np.array_equal(scores.view(np.uint64), np.array(want).view(np.uint64))
+    # the block size bounds memory and changes nothing else
+    for block in (1, 3):
+        again = row_objectives(*inputs, block=block)
+        assert np.array_equal(again.view(np.uint64), scores.view(np.uint64))

@@ -2,9 +2,10 @@
 
 `_run_pipeline` samples each project's teams as one matrix of index rows into
 the candidate front, tests coverage with the requirement masks and scores each
-distinct covering row once. These tests check the draws themselves, and check
-the pipeline against `form_random_teams`, `coverage`, `objective_vector` and
-`pareto_front` applied to every sampled copy.
+distinct covering row once, in one `row_objectives` pass. These tests check
+the draws themselves, and check the pipeline against `form_random_teams`,
+`coverage`, `objective_vector` and `pareto_front` applied to every sampled
+copy.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from fairteams import (
 )
 from fairteams import assembly
 from fairteams.assembly import _run_pipeline, _sample_rows, project_view
+from fairteams.objectives import row_objectives
 from fairteams.pareto import _front_rows
 from test_assembly import (
     _fallback_instance,
@@ -111,12 +113,13 @@ _COSTS = (0.1, 0.2, 0.3, 0.7, 1.1, 3.3, 1e-3)
 
 @st.composite
 def _instances(draw):
-    """A pool of distinct ids over 2-70 requirements, so masks past bit 62 are
-    common, where each candidate lacks a few of them."""
+    """A pool of distinct ids in a drawn order, often not id order, over 2-70
+    requirements, so masks past bit 62 are common, where each candidate
+    lacks a few of them."""
     width = draw(st.sampled_from([2, 3, 5, 63, 70]))
     skills = [f"k{j:02d}" for j in range(width)]
     pool = []
-    for i in range(draw(st.integers(1, 9))):
+    for i in draw(st.permutations(range(draw(st.integers(1, 9))))):
         missing = draw(st.sets(st.integers(0, width - 1), max_size=min(width - 1, 6)))
         palette = draw(st.lists(st.sampled_from(_COSTS), min_size=1, max_size=3))
         profile = {
@@ -142,15 +145,16 @@ def test_mask_coverage_and_dedup_equal_the_scalar_references(instance, data):
         assert (size, num_teams, k) == (len(members), len(rows), team_size)
         return rows
 
+    ids = sorted(member.id for member in members)
     scored = Counter()
 
-    def counted_vector(team, project):
-        scored[team.member_ids()] += 1
-        return objective_vector(team, project)
+    def counted_kernel(ranks, *arrays, block):
+        scored.update(tuple(ids[j] for j in row) for row in ranks.tolist())
+        return row_objectives(ranks, *arrays, block=block)
 
     with patch.object(assembly, "_sample_rows", sampler):
         teams = form_random_teams(members, len(rows), team_size, 0)
-        with patch.object(assembly, "objective_vector", counted_vector):
+        with patch.object(assembly, "row_objectives", counted_kernel):
             diagnostics, front, copies = _run_pipeline(
                 pool, project, team_size, len(rows), None, view
             )
@@ -164,7 +168,7 @@ def test_mask_coverage_and_dedup_equal_the_scalar_references(instance, data):
     assert diagnostics.pareto_team_count == len(kept) == len(copies)
     assert [front[k][0] for k in copies] == [covered[i] for i in kept]
     assert [front[k][1].as_tuple() for k in copies] == [vectors[i] for i in kept]
-    # one Team and one vector per distinct covering row
+    # the kernel scores each distinct covering row once, its members in id order
     assert scored == Counter({team.member_ids(): 1 for team in covered})
     assert sorted(team.member_ids() for team, _ in front) == sorted(
         {covered[i].member_ids() for i in kept}
