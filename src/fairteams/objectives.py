@@ -154,9 +154,9 @@ def row_objectives(
     count, size = rows.shape
     width = costs.shape[1]
     scores = np.empty((count, 5))
-    # overflow and 0/0 give inf and nan here, as in Python float arithmetic;
-    # the check after the loop reports them
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # an overflow gives inf, as Python's float arithmetic does, and a zero
+    # total gives 0/0 = nan; the check after the loop reports either one
+    with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, count, block):
             part = rows[start : start + block]
             member_loads, is_zero = loads[part], zero[part]
