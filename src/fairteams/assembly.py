@@ -275,25 +275,6 @@ def form_random_teams(
     return [Team(candidates[i] for i in row) for row in rows.tolist()]
 
 
-def _id_ordered(
-    view: ProjectView, front_rows: list[int], members: list[Candidate], rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`row_objectives`' inputs for `rows` of positions into `members`.
-
-    The members are ranked by id, which are distinct, and each row is mapped
-    to ranks and sorted, so every sum runs in the member order of `Team`.
-    """
-    by_id = sorted(range(len(members)), key=lambda i: members[i].id)
-    rank = np.empty(len(members), dtype=np.intp)
-    rank[by_id] = np.arange(len(members))
-    picked = [front_rows[i] for i in by_id]
-    loads = np.array([view.loads[i] for i in picked])
-    zero = np.array([members[i].attribute is AttributeClass.ZERO for i in by_id])
-    offered = view.costs[picked]
-    costs = np.where(np.isfinite(offered), offered, 0.0)
-    return np.sort(rank[rows], axis=1), loads, zero, costs
-
-
 def _run_pipeline(
     pool: Sequence[Candidate],
     project: Project,
@@ -337,7 +318,9 @@ def _run_pipeline(
     front: list[tuple[Team, ObjectiveVector]] = []
     covering = distinct[covers]
     if len(covering):
-        scores = row_objectives(*_id_ordered(view, front_rows, members, covering), block=_KEY_ROWS)
+        # rows of positions into the candidate front, as positions into the view
+        on_view = np.array(front_rows, dtype=np.intp)[covering]
+        scores = row_objectives(on_view, view.matching, view.loads, view.costs)
         kept = _front_rows(scores)
         front = [
             (Team(members[i] for i in row), ObjectiveVector(*vector))

@@ -53,10 +53,16 @@ def _spread(values: Sequence[float], total: float) -> float:
     """Population standard deviation of `values` around the mean `total / len(values)`.
 
     Each deviation is squared as `d * d`, an exact IEEE product; `d ** 2`
-    goes through libm `pow`, which can differ in the last bit.
+    goes through libm `pow`, which can differ in the last bit. The squares
+    are added left to right by hand: from Python 3.12 on, `sum` of floats
+    compensates its rounding, which `row_objectives` does not.
     """
     mean = total / len(values)
-    return math.sqrt(sum((value - mean) * (value - mean) for value in values) / len(values))
+    squares = 0.0
+    for value in values:
+        deviation = value - mean
+        squares += deviation * deviation
+    return math.sqrt(squares / len(values))
 
 
 def workload_unevenness(team: Team, project: Project) -> float:
@@ -125,8 +131,13 @@ def objective_vector(team: Team, project: Project) -> ObjectiveVector:
     )
 
 
+_SCORE_ROWS = 1024
+"""Teams per block in `row_objectives`; bounds its working memory to
+`_SCORE_ROWS` x max(k, r) doubles for teams of k over r requirements."""
+
+
 def _row_sums(values: np.ndarray) -> np.ndarray:
-    """Sums over axis 1, added left to right as Python's `sum` does.
+    """Sums over axis 1, added left to right as the scalar loops do.
 
     `np.sum` adds eight running partial sums from eight items on, which
     rounds differently from one left-to-right pass.
@@ -135,46 +146,58 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
 
 
 def row_objectives(
-    rows: np.ndarray, loads: np.ndarray, zero: np.ndarray, costs: np.ndarray, *, block: int
+    rows: np.ndarray, members: Sequence[Candidate], loads: Sequence[float], costs: np.ndarray
 ) -> np.ndarray:
     """The objective vectors of many teams at once, one row of five per team.
 
     Row i of the n x k integer matrix `rows` lists a team's members as
-    positions into `loads` (each member's `matched_cost`), `zero` (True for
-    class zero) and `costs` (the member's cost per sorted requirement, 0.0
-    where not offered). Every sum runs along the row, so when each row lists
-    its members in id order, row i equals `objective_vector` of that team bit
-    for bit. Rows are scored `block` at a time, so memory stays at
-    `block` x k x r doubles; the result does not depend on `block`.
+    positions into `members`, whose ids are distinct, into `loads` (each
+    member's `matched_cost`) and into the rows of `costs` (the member's cost
+    per sorted requirement, +inf where not offered). Each row is first put in
+    member-id order, the order of `Team`, and every sum then runs left to
+    right along it, so row i equals `objective_vector` of that team bit for
+    bit. Rows are scored `_SCORE_ROWS` at a time; the result does not depend
+    on the block size.
 
     Raises the `ValueError` that `objective_vector` raises for the first row
     with a zero cost or an objective that is not finite, whether or not that
     row would reach the team front.
     """
+    # only the members the rows use are ranked by id and gathered
+    by_id = sorted(np.unique(rows).tolist(), key=lambda i: members[i].id)
+    rank = np.empty(len(members), dtype=np.intp)
+    rank[by_id] = np.arange(len(by_id))
+    ordered = np.sort(rank[rows], axis=1)
+    member_loads = np.array([loads[i] for i in by_id])
+    zero = np.array([members[i].attribute is AttributeClass.ZERO for i in by_id])
+    offered = costs[by_id]
+    member_costs = np.where(np.isfinite(offered), offered, 0.0)
     count, size = rows.shape
     width = costs.shape[1]
     scores = np.empty((count, 5))
     # an overflow gives inf, as Python's float arithmetic does, and a zero
     # total gives 0/0 = nan; the check after the loop reports either one
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, count, block):
-            part = rows[start : start + block]
-            member_loads, is_zero = loads[part], zero[part]
-            cost_zero = _row_sums(np.where(is_zero, member_loads, 0.0))
-            cost_one = _row_sums(np.where(is_zero, 0.0, member_loads))
+        for start in range(0, count, _SCORE_ROWS):
+            part = ordered[start : start + _SCORE_ROWS]
+            team_loads, is_zero = member_loads[part], zero[part]
+            cost_zero = _row_sums(np.where(is_zero, team_loads, 0.0))
+            cost_one = _row_sums(np.where(is_zero, 0.0, team_loads))
             total = cost_zero + cost_one
-            spread = member_loads - (total / size)[:, None]
-            totals = _row_sums(costs[part])
+            spread = team_loads - (total / size)[:, None]
+            # per-requirement totals, member by member, without an n x k x r gather
+            totals = member_costs[part[:, 0]]
+            for j in range(1, size):
+                totals += member_costs[part[:, j]]
             gaps = totals - (total / width)[:, None]
-            out = scores[start : start + block]
+            out = scores[start : start + _SCORE_ROWS]
             out[:, 0] = total
             out[:, 1] = np.sqrt(_row_sums(spread * spread) / size)
             out[:, 2] = np.sqrt(_row_sums(gaps * gaps) / width)
             out[:, 3] = np.abs(2 * np.count_nonzero(is_zero, axis=1) - size) / size
             out[:, 4] = np.abs(cost_zero - cost_one) / total
-    bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
-    if bad.size:
-        first = scores[bad[0]].tolist()
+    if not np.isfinite(scores).all():
+        first = scores[np.flatnonzero(~np.isfinite(scores).all(axis=1))[0]].tolist()
         if first[0] == 0.0:  # 0/0 left nan in its cost difference
             raise ValueError(_ZERO_COST)
         ObjectiveVector(*first)  # raises naming the objective that is not finite

@@ -547,11 +547,9 @@ def test_every_mode_picks_from_the_front_alone(sampled, seed):
         vector_of.setdefault(team.member_ids(), vector)  # copies share a vector
     vectors = [vector_of[team.member_ids()] for team in teams]
     front = sorted(oracle_front_indices([vector.as_tuple() for vector in vectors]))
-    ids = sorted(candidate.id for candidate in pool)
 
-    def injected(ranks, *arrays, block):
-        # each row lists its members' ranks in id order
-        keys = [tuple(ids[j] for j in row) for row in ranks.tolist()]
+    def injected(positions, candidates, *arrays):
+        keys = [tuple(sorted(candidates[j].id for j in row)) for row in positions.tolist()]
         return np.array([vector_of[key].as_tuple() for key in keys])
 
     with (

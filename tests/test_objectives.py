@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from fairteams import (
     team_cost,
     workload_unevenness,
 )
-from fairteams.assembly import _KEY_ROWS, _id_ordered, project_view
-from fairteams.objectives import row_objectives
+from fairteams import objectives
+from fairteams.assembly import project_view
+from fairteams.objectives import _spread, row_objectives
 
 # frozen targets for the three-member fixture, computed by hand:
 # loads 0.035 / 0.122 / 0.171; per-requirement totals 0.100 / 0.035 / 0.090 / 0.103;
@@ -227,11 +229,9 @@ def test_vector_rejects_a_team_with_zero_matched_cost():
     team = Team([Candidate("c", AttributeClass.ZERO, {"z": 1.0})])
     with pytest.raises(ValueError, match="zero matched cost"):
         objective_vector(team, Project("p", frozenset({"a"})))
-    # the same team as kernel inputs: load 0.0, class zero, requirement not offered
+    # the same team as kernel inputs: load 0.0, requirement not offered
     with pytest.raises(ValueError, match="zero matched cost"):
-        row_objectives(
-            np.array([[0]]), np.zeros(1), np.ones(1, dtype=bool), np.zeros((1, 1)), block=1
-        )
+        row_objectives(np.array([[0]]), list(team), [0.0], np.full((1, 1), np.inf))
 
 
 @st.composite
@@ -322,6 +322,13 @@ def test_evaluation_is_bit_reproducible():
     assert math.isfinite(first.cost)
 
 
+def test_spread_adds_its_squares_left_to_right():
+    # 1e16 first absorbs each later 1.0, so one left-to-right pass, the order
+    # `row_objectives` adds in, keeps 1e16; a compensated sum (Python 3.12's
+    # `sum` of floats) would give 1e16 + 1000
+    assert _spread([1e8] + [1.0] * 1000, 0.0) == math.sqrt(1e16 / 1001)
+
+
 # -- the row kernel against the scalar vector ----------------------------------
 
 
@@ -359,8 +366,8 @@ def row_instances(draw):
 def test_row_kernel_equals_objective_vector_bit_for_bit(instance):
     pool, project, rows = instance
     view = project_view(pool, project)
-    inputs = _id_ordered(view, list(range(len(view.matching))), view.matching, rows)
-    scores = row_objectives(*inputs, block=_KEY_ROWS)
+    inputs = rows, view.matching, view.loads, view.costs
+    scores = row_objectives(*inputs)
     want = [
         objective_vector(Team(view.matching[i] for i in row), project).as_tuple()
         for row in rows.tolist()
@@ -369,5 +376,6 @@ def test_row_kernel_equals_objective_vector_bit_for_bit(instance):
     assert np.array_equal(scores.view(np.uint64), np.array(want).view(np.uint64))
     # the block size bounds memory and changes nothing else
     for block in (1, 3):
-        again = row_objectives(*inputs, block=block)
+        with patch.object(objectives, "_SCORE_ROWS", block):
+            again = row_objectives(*inputs)
         assert np.array_equal(again.view(np.uint64), scores.view(np.uint64))

@@ -145,12 +145,11 @@ def test_mask_coverage_and_dedup_equal_the_scalar_references(instance, data):
         assert (size, num_teams, k) == (len(members), len(rows), team_size)
         return rows
 
-    ids = sorted(member.id for member in members)
     scored = Counter()
 
-    def counted_kernel(ranks, *arrays, block):
-        scored.update(tuple(ids[j] for j in row) for row in ranks.tolist())
-        return row_objectives(ranks, *arrays, block=block)
+    def counted_kernel(positions, candidates, *arrays):
+        scored.update(tuple(sorted(candidates[j].id for j in row)) for row in positions.tolist())
+        return row_objectives(positions, candidates, *arrays)
 
     with patch.object(assembly, "_sample_rows", sampler):
         teams = form_random_teams(members, len(rows), team_size, 0)
@@ -168,7 +167,7 @@ def test_mask_coverage_and_dedup_equal_the_scalar_references(instance, data):
     assert diagnostics.pareto_team_count == len(kept) == len(copies)
     assert [front[k][0] for k in copies] == [covered[i] for i in kept]
     assert [front[k][1].as_tuple() for k in copies] == [vectors[i] for i in kept]
-    # the kernel scores each distinct covering row once, its members in id order
+    # the kernel scores each distinct covering row once
     assert scored == Counter({team.member_ids(): 1 for team in covered})
     assert sorted(team.member_ids() for team, _ in front) == sorted(
         {covered[i].member_ids() for i in kept}
