@@ -229,9 +229,13 @@ def test_vector_rejects_a_team_with_zero_matched_cost():
     team = Team([Candidate("c", AttributeClass.ZERO, {"z": 1.0})])
     with pytest.raises(ValueError, match="zero matched cost"):
         objective_vector(team, Project("p", frozenset({"a"})))
-    # the same team as kernel inputs: load 0.0, requirement not offered
+
+
+def test_kernel_rejects_a_team_with_zero_matched_cost():
+    # the team above as kernel inputs: load 0.0, requirement not offered
+    member = Candidate("c", AttributeClass.ZERO, {"z": 1.0})
     with pytest.raises(ValueError, match="zero matched cost"):
-        row_objectives(np.array([[0]]), list(team), [0.0], np.full((1, 1), np.inf))
+        row_objectives(np.array([[0]]), [member], [0.0], np.full((1, 1), np.inf))
 
 
 @st.composite
