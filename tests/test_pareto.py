@@ -4,13 +4,15 @@ algebraic properties."""
 from __future__ import annotations
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairteams import dominates, pareto_front
+from fairteams import dominates, pareto, pareto_front
+from fairteams.pareto import _front_rows
 
 INF = math.inf
 
@@ -179,8 +181,8 @@ def all_pairs_front(vectors) -> list[int]:
     ]
 
 
-# small integers give ties and duplicates; the sizes cross the sweep's
-# 128-point block boundary
+# small integers give ties and duplicates; the sizes cross several of the
+# sweep's blocks
 PALETTE_COORDINATE = st.one_of(
     st.integers(min_value=-2, max_value=3).map(float),
     st.just(INF),
@@ -221,3 +223,57 @@ def test_front_rejects_nan_and_ragged_anywhere(vectors, data):
     ragged = vectors + [vectors[position] + (0.0,)]
     with pytest.raises(ValueError, match="length"):
         pareto_front(list(enumerate(ragged)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(large_populations())
+def test_front_rows_match_all_pairs_reference_at_every_block_size(vectors):
+    points = np.array(vectors, dtype=float)
+    want = all_pairs_front(vectors)
+    # the block size bounds memory and changes nothing else
+    for block in (1, 2, 5, pareto._BLOCK):
+        with patch.object(pareto, "_BLOCK", block):
+            got = _front_rows(points)
+        assert got.dtype == np.intp
+        assert got.tolist() == want
+
+
+def test_front_rows_of_no_rows_is_an_empty_index_array():
+    got = _front_rows(np.empty((0, 3)))
+    assert got.dtype == np.intp and got.shape == (0,)
+
+
+def test_front_rows_of_one_row_is_that_row():
+    assert _front_rows(np.array([[INF, -1.0]])).tolist() == [0]
+
+
+def test_front_rows_keep_duplicates_across_block_boundaries():
+    # each run of equal rows spans a block boundary; a winner drops no row
+    # equal to it, only the row its copies dominate
+    size = pareto._BLOCK + 3
+    points = np.array([(1.0, 0.0)] * size + [(0.0, 1.0)] * size + [(1.0, 1.0)])
+    assert _front_rows(points).tolist() == list(range(2 * size))
+    for block in (1, 2, 5):
+        with patch.object(pareto, "_BLOCK", block):
+            assert _front_rows(points).tolist() == list(range(2 * size))
+
+
+def test_front_rows_keep_an_antichain_spanning_several_blocks():
+    size = 3 * pareto._BLOCK + 1
+    x = np.arange(size, dtype=float)
+    points = np.column_stack((x, x[::-1]))[np.random.default_rng(7).permutation(size)]
+    assert _front_rows(points).tolist() == list(range(size))
+
+
+def test_front_rows_find_a_dominating_row_placed_last():
+    rng = np.random.default_rng(11)
+    points = np.vstack((rng.integers(1, 4, size=(3 * pareto._BLOCK, 4)), [(0, 0, 0, 1)]))
+    assert _front_rows(points.astype(float)).tolist() == [len(points) - 1]
+
+
+def test_front_rows_drop_a_row_only_a_later_winner_dominates():
+    # the block [(0, 2), (1, 0)] has two winners; only the second drops (2, 1)
+    points = np.array([(2.0, 1.0), (1.0, 0.0), (0.0, 2.0)])
+    for block in (2, pareto._BLOCK):
+        with patch.object(pareto, "_BLOCK", block):
+            assert _front_rows(points).tolist() == [1, 2]
