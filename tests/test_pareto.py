@@ -252,8 +252,7 @@ def test_front_rows_keep_duplicates_across_block_boundaries():
     # equal to it, only the row its copies dominate
     size = pareto._BLOCK + 3
     points = np.array([(1.0, 0.0)] * size + [(0.0, 1.0)] * size + [(1.0, 1.0)])
-    assert _front_rows(points).tolist() == list(range(2 * size))
-    for block in (1, 2, 5):
+    for block in (1, 2, 5, pareto._BLOCK):
         with patch.object(pareto, "_BLOCK", block):
             assert _front_rows(points).tolist() == list(range(2 * size))
 
