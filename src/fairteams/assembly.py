@@ -13,8 +13,10 @@ distinct projects in parallel cannot perturb each other's draws.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -112,13 +114,16 @@ class ProjectView:
     order, and is empty when none does. Row i of the read-only `costs` matrix
     is `candidate_scores(matching[i], project)`. `loads[i]` is `matched_cost`
     of `matching[i]`; bit j of `masks[i]` is set when it offers
-    `project.sorted_requirements[j]`.
+    `project.sorted_requirements[j]`. `id_ranks[i]` orders `matching[i]` by
+    id within the pool, and `class_one[i]` is whether its class is `ONE`.
     """
 
     matching: list[Candidate]
     costs: np.ndarray
     loads: list[float]
     masks: list[int]
+    id_ranks: np.ndarray
+    class_one: np.ndarray
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjectView):
@@ -129,16 +134,35 @@ class ProjectView:
             other.masks,
         ) and np.array_equal(self.costs, other.costs)
 
+    @cached_property
+    def greedy_order(self) -> dict[AttributeClass | None, list[int]]:
+        """Rows ascending by their greedy key with nothing covered yet, (load /
+        requirements offered, load, id): all rows under `None`, and each
+        class's own under that class.
 
-_SkillIndex = dict[str, tuple[np.ndarray, np.ndarray]]
-"""Skill -> (ascending pool positions offering it, their costs for it)."""
+        The greedy methods share these lists and never change them.
+        """
+        loads = np.array(self.loads)
+        ratios = loads / np.count_nonzero(np.isfinite(self.costs), axis=1)
+        order = np.lexsort((self.id_ranks, loads, ratios))
+        one = self.class_one[order]
+        return {
+            None: order.tolist(),
+            AttributeClass.ZERO: order[~one].tolist(),
+            AttributeClass.ONE: order[one].tolist(),
+        }
+
+
+_PoolIndex = tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]
+"""Skill -> (ascending pool positions offering it, their costs for it); each
+position's rank in id order; whether each position's class is `ONE`."""
 
 # (pool snapshot, its index); a rebuild rebinds it and never mutates the pair
-_POOL_INDEX: tuple[tuple[Candidate, ...], _SkillIndex] | None = None
+_POOL_INDEX: tuple[tuple[Candidate, ...], _PoolIndex] | None = None
 
 
-def _skill_index(snapshot: tuple[Candidate, ...]) -> _SkillIndex:
-    """The postings index of the pool `snapshot`, reused while the pool equals it.
+def _skill_index(snapshot: tuple[Candidate, ...]) -> _PoolIndex:
+    """The index of the pool `snapshot`, reused while the pool equals it.
 
     The comparison is tuple equality, which passes identical candidates
     without calling `__eq__`. An equal pool keeps the index but becomes the
@@ -155,7 +179,7 @@ def _skill_index(snapshot: tuple[Candidate, ...]) -> _SkillIndex:
     return index
 
 
-def _build_index(pool: Sequence[Candidate]) -> _SkillIndex:
+def _build_index(pool: Sequence[Candidate]) -> _PoolIndex:
     positions: dict[str, list[int]] = {}
     costs: dict[str, list[float]] = {}
     first_at: dict[str, int] = {}
@@ -170,10 +194,15 @@ def _build_index(pool: Sequence[Candidate]) -> _SkillIndex:
                 positions[skill], costs[skill] = [], []
             positions[skill].append(position)
             costs[skill].append(cost)
-    return {
+    postings = {
         skill: (np.array(positions[skill], dtype=np.intp), np.array(costs[skill], dtype=float))
         for skill in positions
     }
+    # ids are distinct, so rank order is id order
+    id_ranks = np.empty(len(pool), dtype=np.intp)
+    id_ranks[[first_at[cid] for cid in sorted(first_at)]] = np.arange(len(pool))
+    class_one = np.array([c.attribute is AttributeClass.ONE for c in pool], dtype=bool)
+    return postings, id_ranks, class_one
 
 
 def project_view(pool: Sequence[Candidate], project: Project) -> ProjectView:
@@ -185,8 +214,8 @@ def project_view(pool: Sequence[Candidate], project: Project) -> ProjectView:
     """
     snapshot = tuple(pool)
     requirements = project.sorted_requirements
-    index = _skill_index(snapshot)
-    offered = [(j, *index[skill]) for j, skill in enumerate(requirements) if skill in index]
+    postings, id_ranks, class_one = _skill_index(snapshot)
+    offered = [(j, *postings[skill]) for j, skill in enumerate(requirements) if skill in postings]
     hit = np.zeros(len(snapshot), dtype=bool)
     for _, positions, _ in offered:
         hit[positions] = True
@@ -202,7 +231,8 @@ def project_view(pool: Sequence[Candidate], project: Project) -> ProjectView:
     for column in np.where(offers, costs, 0.0).T:
         loads += column
     matching = [snapshot[i] for i in rows.tolist()]
-    return ProjectView(matching, costs, loads.tolist(), _bitmasks(offers))
+    masks = _bitmasks(offers)
+    return ProjectView(matching, costs, loads.tolist(), masks, id_ranks[rows], class_one[rows])
 
 
 _MASK_CHUNK = 62
@@ -292,8 +322,8 @@ def _run_pipeline(
     if view is None:
         view = project_view(pool, project)
     # the candidate front; every sampled row holds positions in it
-    front_rows: list[int] = _front_rows(view.costs).tolist() if view.matching else []
-    members = [view.matching[i] for i in front_rows]
+    front_rows = _front_rows(view.costs)
+    members = [view.matching[i] for i in front_rows.tolist()]
     if members:
         rows = _sample_rows(len(members), num_teams, team_size, rng)
     else:
@@ -303,14 +333,12 @@ def _run_pipeline(
     width = rows.shape[1]
     distinct, draws = np.unique(rows.view((np.void, rows.itemsize * width)), return_inverse=True)
     distinct, draws = distinct.view(rows.dtype).reshape(-1, width), draws.reshape(-1)
-    masks = [view.masks[i] for i in front_rows]
-    full = (1 << len(project.sorted_requirements)) - 1
-    covers = np.zeros(len(distinct), dtype=bool)
-    for d, row in enumerate(distinct.tolist()):
-        union = 0
-        for i in row:
-            union |= masks[i]
-        covers[d] = union == full
+    # a team covers when its members' finite costs, OR-ed, fill every column
+    offers = np.isfinite(view.costs)[front_rows]
+    union = offers[distinct[:, 0]]
+    for column in distinct.T[1:]:
+        union |= offers[column]
+    covers = union.all(axis=1)
     # Copies of a team share their objectives and never dominate each other,
     # so the front is taken over the distinct covering teams; `place` holds
     # each distinct row's index on it, or -1.
@@ -319,7 +347,7 @@ def _run_pipeline(
     covering = distinct[covers]
     if len(covering):
         # rows of positions into the candidate front, as positions into the view
-        on_view = np.array(front_rows, dtype=np.intp)[covering]
+        on_view = front_rows[covering]
         scores = row_objectives(on_view, view.matching, view.loads, view.costs)
         kept = _front_rows(scores)
         front = [
@@ -425,30 +453,40 @@ def assemble_all_selections(
     return outcomes
 
 
-def _best_addition(
-    view: ProjectView,
-    uncovered: int,
-    attribute: AttributeClass | None,
-) -> int | None:
-    """Index of the cheapest-per-new-requirement candidate; ties by lower cost, then id.
+class _LazyQueue:
+    """Rows of one group of candidates, keyed lazily (Minoux, 1978).
 
-    `uncovered` is the mask of requirements no chosen member offers yet, so a
-    chosen member adds nothing.
+    A key is (load / newly covered, load, id). Costs are positive, so a key
+    only rises as coverage grows, and a key seen earlier is a lower bound.
+    `pop` refreshes the least key seen, unread in `greedy_order` or on the
+    heap: if it has not risen, its row is the pick; if it has, it goes back
+    on the heap; a row that covers nothing new is dropped for good.
     """
-    best: int | None = None
-    best_key: tuple[float, float, str] | None = None
-    for i, mask in enumerate(view.masks):
-        newly_covered = (mask & uncovered).bit_count()
-        if not newly_covered:
-            continue
-        candidate = view.matching[i]
-        if attribute is not None and candidate.attribute is not attribute:
-            continue
-        load = view.loads[i]
-        key = (load / newly_covered, load, candidate.id)
-        if best_key is None or key < best_key:
-            best, best_key = i, key
-    return best
+
+    def __init__(self, view: ProjectView, rows: list[int]) -> None:
+        loads, masks, matching = view.loads, view.masks, view.matching
+        self.unread = (
+            (loads[row] / masks[row].bit_count(), loads[row], matching[row].id, row) for row in rows
+        )
+        self.head = next(self.unread, None)
+        self.heap: list[tuple[float, float, str, int]] = []
+
+    def pop(self, masks: list[int], uncovered: int) -> int | None:
+        """Row of the least key given the `uncovered` mask; None if no row covers any of it."""
+        heap = self.heap
+        while True:
+            if self.head is not None and (not heap or self.head < heap[0]):
+                key, self.head = self.head, next(self.unread, None)
+            elif heap:
+                key = heapq.heappop(heap)
+            else:
+                return None
+            ratio, load, cid, row = key
+            newly_covered = (masks[row] & uncovered).bit_count()
+            if newly_covered and load / newly_covered == ratio:
+                return row
+            if newly_covered:
+                heapq.heappush(heap, (load / newly_covered, load, cid, row))
 
 
 def _greedy_assemble(
@@ -463,6 +501,7 @@ def _greedy_assemble(
         view = project_view(pool, project)
     diagnostics = AssemblyDiagnostics(len(pool), len(view.matching))
 
+    queues = {group: _LazyQueue(view, rows) for group, rows in view.greedy_order.items()}
     chosen: list[Candidate] = []
     uncovered = (1 << len(project.sorted_requirements)) - 1
     counts = {AttributeClass.ZERO: 0, AttributeClass.ONE: 0}
@@ -470,11 +509,11 @@ def _greedy_assemble(
     while uncovered:
         if balance_classes:
             preferred = min(AttributeClass, key=lambda c: (counts[c], costs[c], c.value))
-            pick = _best_addition(view, uncovered, preferred)
+            pick = queues[preferred].pop(view.masks, uncovered)
             if pick is None:
-                pick = _best_addition(view, uncovered, preferred.other())
+                pick = queues[preferred.other()].pop(view.masks, uncovered)
         else:
-            pick = _best_addition(view, uncovered, None)
+            pick = queues[None].pop(view.masks, uncovered)
         if pick is None:
             return AssemblyOutcome(None, None, diagnostics)
         candidate = view.matching[pick]

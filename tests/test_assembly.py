@@ -38,6 +38,7 @@ from fairteams import (
     project_rng,
     run_benchmark,
     synthesize_pool,
+    synthesize_projects,
 )
 from fairteams.assembly import _normalized_sums, _select_index, project_view
 from fairteams.data_io import skill_universe
@@ -920,6 +921,92 @@ def test_greedy_baselines_equal_the_scalar_reference(instance):
         expected = _reference_greedy(pool, project, balance_classes)
         assert assemble(pool, project) == expected
         assert assemble(pool, project, view=view) == expected
+
+
+def _assert_greedy_equals_the_reference(pool, project):
+    """Both baselines equal `_reference_greedy` without a view, with a fresh
+    view, and on one shared view in both call orders, so neither can change
+    what the other reads from it."""
+    baselines = ((assemble_incremental, False), (assemble_fair_allocation, True))
+    expected = {
+        assemble: _reference_greedy(pool, project, balance_classes)
+        for assemble, balance_classes in baselines
+    }
+    for assemble, want in expected.items():
+        assert assemble(pool, project) == want
+        assert assemble(pool, project, view=project_view(pool, project)) == want
+    for order in (baselines, baselines[::-1]):
+        shared = project_view(pool, project)
+        for assemble, _ in order:
+            assert assemble(pool, project, view=shared) == expected[assemble]
+
+
+_WIDE_SKILLS = tuple(f"k{j:02d}" for j in range(70))
+
+
+@st.composite
+def wide_greedy_instances(draw):
+    """Pools of up to 40 candidates with ids out of pool order. Half the
+    instances are wide: 10-40 skills per candidate and 63-70 of the offered
+    skills required, so masks span more than one 64-bit word. Costs come from
+    a four-value palette, often one per candidate, so ties in (cost per newly
+    covered requirement, cost) are common and the id decides. One project in
+    ten also requires "z", which nobody offers."""
+    wide = draw(st.booleans())
+    single_class = draw(st.sampled_from([None, AttributeClass.ZERO, AttributeClass.ONE]))
+    ids = draw(st.permutations([f"m{i:02d}" for i in range(40)]))
+    palette = st.sampled_from([0.5, 1.0, 1.5, 3.0])
+    pool = []
+    for cid in ids[: draw(st.integers(10 if wide else 1, 40))]:
+        skills = draw(
+            st.lists(
+                st.sampled_from(_WIDE_SKILLS + ("x",)),
+                min_size=10 if wide else 1,
+                max_size=40 if wide else 6,
+                unique=True,
+            )
+        )
+        attribute = single_class or draw(st.sampled_from(AttributeClass))
+        if draw(st.booleans()):
+            profile = dict.fromkeys(skills, draw(palette))
+        else:
+            profile = {skill: draw(palette) for skill in skills}
+        pool.append(_candidate(cid, attribute, profile))
+    offered = sorted({skill for c in pool for skill in c.cost_profile} - {"x"})
+    count = draw(st.integers(63, 70) if wide else st.integers(1, 8))
+    required = draw(st.permutations(offered))[:count]
+    if not required or draw(st.sampled_from((False,) * 9 + (True,))):
+        required.append("z")
+    return pool, Project("wide", frozenset(required))
+
+
+@settings(deadline=None, max_examples=150)
+@given(wide_greedy_instances())
+def test_greedy_baselines_equal_the_reference_on_wide_projects(instance):
+    _assert_greedy_equals_the_reference(*instance)
+
+
+def test_a_pick_raises_the_runner_up_above_a_third_candidate():
+    # first = 0.5 per requirement; runner-up 0.6 until `first` covers "b",
+    # then 1.2; third 0.9 throughout
+    pool = [
+        _candidate("runner-up", AttributeClass.ZERO, {"b": 0.6, "c": 0.6}),
+        _candidate("third", AttributeClass.ZERO, {"c": 0.9}),
+        _candidate("first", AttributeClass.ZERO, {"a": 0.5, "b": 0.5}),
+    ]
+    project = Project("p", frozenset({"a", "b", "c"}))
+    for assemble in (assemble_incremental, assemble_fair_allocation):
+        assert assemble(pool, project).team.member_ids() == ("first", "third")
+    _assert_greedy_equals_the_reference(pool, project)
+
+
+def test_greedy_baselines_equal_the_reference_on_a_broad_pool():
+    # broad-pool's shape: 1000 candidates over 60 skills, 3-12 skills each,
+    # projects of 6-10 requirements; reversed, so ids run against pool order
+    spec = SynthesisSpec(pool_size=1000, skill_universe_size=60, min_skills=3, max_skills=12, seed=15)
+    pool = synthesize_pool(spec)[::-1]
+    for project in synthesize_projects(20, 60, 6, 10, seed=15):
+        _assert_greedy_equals_the_reference(pool, project)
 
 
 def test_all_assemblers_reach_full_coverage(small_pool, small_project):
