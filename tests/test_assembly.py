@@ -879,6 +879,24 @@ def _reference_greedy(pool, project, balance_classes):
     return AssemblyOutcome(team, objective_vector(team, project), diagnostics)
 
 
+def _assert_greedy_equals_the_reference(pool, project):
+    """Both baselines equal `_reference_greedy` without a view, with a fresh
+    view, and on one shared view in both call orders, so neither can change
+    what the other reads from it."""
+    baselines = ((assemble_incremental, False), (assemble_fair_allocation, True))
+    expected = {
+        assemble: _reference_greedy(pool, project, balance_classes)
+        for assemble, balance_classes in baselines
+    }
+    for assemble, want in expected.items():
+        assert assemble(pool, project) == want
+        assert assemble(pool, project, view=project_view(pool, project)) == want
+    for order in (baselines, baselines[::-1]):
+        shared = project_view(pool, project)
+        for assemble, _ in order:
+            assert assemble(pool, project, view=shared) == expected[assemble]
+
+
 # "x" is offered but never required; "z" is required but never offered
 _GREEDY_OFFERED = ("a", "b", "c", "d", "e", "x")
 _GREEDY_REQUIRED = ("a", "b", "c", "d", "e", "z")
@@ -912,33 +930,7 @@ def greedy_instances(draw):
 @settings(deadline=None, max_examples=300)
 @given(greedy_instances())
 def test_greedy_baselines_equal_the_scalar_reference(instance):
-    pool, project = instance
-    view = project_view(pool, project)
-    for assemble, balance_classes in (
-        (assemble_incremental, False),
-        (assemble_fair_allocation, True),
-    ):
-        expected = _reference_greedy(pool, project, balance_classes)
-        assert assemble(pool, project) == expected
-        assert assemble(pool, project, view=view) == expected
-
-
-def _assert_greedy_equals_the_reference(pool, project):
-    """Both baselines equal `_reference_greedy` without a view, with a fresh
-    view, and on one shared view in both call orders, so neither can change
-    what the other reads from it."""
-    baselines = ((assemble_incremental, False), (assemble_fair_allocation, True))
-    expected = {
-        assemble: _reference_greedy(pool, project, balance_classes)
-        for assemble, balance_classes in baselines
-    }
-    for assemble, want in expected.items():
-        assert assemble(pool, project) == want
-        assert assemble(pool, project, view=project_view(pool, project)) == want
-    for order in (baselines, baselines[::-1]):
-        shared = project_view(pool, project)
-        for assemble, _ in order:
-            assert assemble(pool, project, view=shared) == expected[assemble]
+    _assert_greedy_equals_the_reference(*instance)
 
 
 _WIDE_SKILLS = tuple(f"k{j:02d}" for j in range(70))
