@@ -24,7 +24,7 @@ import numpy as np
 from .model import AttributeClass, Candidate, ObjectiveVector, Project, Team
 from .model import coverage  # noqa: F401  the scalar reference; tracers wrap it under this name
 from .objectives import objective_vector, row_objectives
-from .pareto import _front_rows, pareto_front
+from .pareto import _front_rows, _support_front_rows, pareto_front
 
 
 class InfeasibleProjectError(ValueError):
@@ -112,15 +112,16 @@ class ProjectView:
 
     `matching` holds the candidates offering at least one requirement, in pool
     order, and is empty when none does. Row i of the read-only `costs` matrix
-    is `candidate_scores(matching[i], project)`. `loads[i]` is `matched_cost`
-    of `matching[i]`; bit j of `masks[i]` is set when it offers
-    `project.sorted_requirements[j]`. `id_ranks[i]` orders `matching[i]` by
-    id within the pool, and `class_one[i]` is whether its class is `ONE`.
+    is `candidate_scores(matching[i], project)`. Entry i of the read-only
+    float64 array `loads` is `matched_cost` of `matching[i]`; bit j of
+    `masks[i]` is set when it offers `project.sorted_requirements[j]`.
+    `id_ranks[i]` orders `matching[i]` by id within the pool, and
+    `class_one[i]` is whether its class is `ONE`.
     """
 
     matching: list[Candidate]
     costs: np.ndarray
-    loads: list[float]
+    loads: np.ndarray
     masks: list[int]
     id_ranks: np.ndarray
     class_one: np.ndarray
@@ -128,11 +129,15 @@ class ProjectView:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjectView):
             return NotImplemented
-        return (self.matching, self.loads, self.masks) == (
-            other.matching,
-            other.loads,
-            other.masks,
-        ) and np.array_equal(self.costs, other.costs)
+        arrays = ("costs", "loads", "id_ranks", "class_one")
+        return (self.matching, self.masks) == (other.matching, other.masks) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays
+        )
+
+    @cached_property
+    def load_list(self) -> list[float]:
+        """`loads` as Python floats, for the greedy methods' scalar keys."""
+        return self.loads.tolist()
 
     @cached_property
     def greedy_order(self) -> dict[AttributeClass | None, list[int]]:
@@ -142,9 +147,8 @@ class ProjectView:
 
         The greedy methods share these lists and never change them.
         """
-        loads = np.array(self.loads)
-        ratios = loads / np.count_nonzero(np.isfinite(self.costs), axis=1)
-        order = np.lexsort((self.id_ranks, loads, ratios))
+        ratios = self.loads / np.isfinite(self.costs).sum(axis=1)
+        order = np.lexsort((self.id_ranks, self.loads, ratios))
         one = self.class_one[order]
         return {
             None: order.tolist(),
@@ -221,18 +225,19 @@ def project_view(pool: Sequence[Candidate], project: Project) -> ProjectView:
         hit[positions] = True
     rows = np.flatnonzero(hit)
     row_of = np.cumsum(hit) - 1
-    costs = np.full((len(rows), len(requirements)), np.inf)
+    # column-major: its reductions run along the long axis, not over a few requirements
+    costs = np.full((len(rows), len(requirements)), np.inf, order="F")
     for j, positions, column in offered:
         costs[row_of[positions], j] = column
-    costs.flags.writeable = False
     offers = np.isfinite(costs)
     # column by column in requirement order, the order `matched_cost` adds in
     loads = np.zeros(len(rows))
     for column in np.where(offers, costs, 0.0).T:
         loads += column
+    costs.flags.writeable = loads.flags.writeable = False
     matching = [snapshot[i] for i in rows.tolist()]
     masks = _bitmasks(offers)
-    return ProjectView(matching, costs, loads.tolist(), masks, id_ranks[rows], class_one[rows])
+    return ProjectView(matching, costs, loads, masks, id_ranks[rows], class_one[rows])
 
 
 _MASK_CHUNK = 62
@@ -322,7 +327,7 @@ def _run_pipeline(
     if view is None:
         view = project_view(pool, project)
     # the candidate front; every sampled row holds positions in it
-    front_rows = _front_rows(view.costs)
+    front_rows = _support_front_rows(view.costs)
     members = [view.matching[i] for i in front_rows.tolist()]
     if members:
         rows = _sample_rows(len(members), num_teams, team_size, rng)
@@ -348,7 +353,7 @@ def _run_pipeline(
     if len(covering):
         # rows of positions into the candidate front, as positions into the view
         on_view = front_rows[covering]
-        scores = row_objectives(on_view, view.matching, view.loads, view.costs)
+        scores = row_objectives(on_view, view)
         kept = _front_rows(scores)
         front = [
             (Team(members[i] for i in row), ObjectiveVector(*vector))
@@ -464,7 +469,7 @@ class _LazyQueue:
     """
 
     def __init__(self, view: ProjectView, rows: list[int]) -> None:
-        loads, masks, matching = view.loads, view.masks, view.matching
+        loads, masks, matching = view.load_list, view.masks, view.matching
         self.unread = (
             (loads[row] / masks[row].bit_count(), loads[row], matching[row].id, row) for row in rows
         )
@@ -520,7 +525,7 @@ def _greedy_assemble(
         chosen.append(candidate)
         uncovered &= ~view.masks[pick]
         counts[candidate.attribute] += 1
-        costs[candidate.attribute] += view.loads[pick]
+        costs[candidate.attribute] += view.load_list[pick]
 
     team = Team(chosen)
     return AssemblyOutcome(team, objective_vector(team, project), diagnostics)

@@ -60,51 +60,60 @@ def _read_records(path: str | Path, columns: Sequence[str]) -> list[tuple[str, l
     are strings in `columns` order: the id stripped, the skills a list of
     non-empty stripped tokens, the rest as read. Blank lines are skipped. A
     `;` inside an id or a skill token is rejected: `;` joins the skills of a
-    delimited record and the member ids in the outcome log.
+    delimited record and the member ids in the outcome log. Bytes that are
+    not UTF-8, a record the `csv` module cannot read and JSON nested too
+    deeply to parse are data errors too.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
-        if _is_json(path):
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                _fail(path, "file", f"invalid JSON: {exc}")
-            if not isinstance(data, list):
-                _fail(path, "file", "expected a JSON array of records")
-            rows = []
-            for index, record in enumerate(data, start=1):
-                where = f"record {index}"
-                if not isinstance(record, dict):
-                    _fail(path, where, "expected an object")
-                missing = set(columns) - record.keys()
-                if missing:
-                    _fail(path, where, f"missing fields: {', '.join(sorted(missing))}")
-                if not isinstance(record["skills"], list):
-                    _fail(path, where, "skills must be a list of tokens")
-                tokens = [str(token) for token in record["skills"]]
-                if any(";" in token for token in tokens):
-                    _fail(path, where, "';' is not allowed inside a skill token")
-                rows.append((where, [str(record[c]) for c in columns[:-1]] + [";".join(tokens)]))
-        else:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                _fail(path, "file", "empty file, expected a header row")
-            if [column.strip() for column in header] != list(columns):
-                _fail(path, "line 1", f"expected header {','.join(columns)}")
-            rows = (
-                (f"line {line}", row)
-                for line, row in enumerate(reader, start=2)
-                if row and (len(row) > 1 or row[0].strip())
-            )
-        records = []
-        for where, row in rows:
-            if len(row) != len(columns):
-                _fail(path, where, f"expected {len(columns)} fields, got {len(row)}")
-            row[0] = row[0].strip()
-            if ";" in row[0]:
-                _fail(path, where, "';' is not allowed inside an id")
-            row[-1] = [token for token in map(str.strip, row[-1].split(";")) if token]
-            records.append((where, row))
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            if _is_json(path):
+                try:
+                    data = json.load(handle)
+                except json.JSONDecodeError as exc:
+                    _fail(path, "file", f"invalid JSON: {exc}")
+                except RecursionError:
+                    _fail(path, "file", "JSON nested too deeply to read")
+                if not isinstance(data, list):
+                    _fail(path, "file", "expected a JSON array of records")
+                rows = []
+                for index, record in enumerate(data, start=1):
+                    where = f"record {index}"
+                    if not isinstance(record, dict):
+                        _fail(path, where, "expected an object")
+                    missing = set(columns) - record.keys()
+                    if missing:
+                        _fail(path, where, f"missing fields: {', '.join(sorted(missing))}")
+                    if not isinstance(record["skills"], list):
+                        _fail(path, where, "skills must be a list of tokens")
+                    tokens = [str(token) for token in record["skills"]]
+                    if any(";" in token for token in tokens):
+                        _fail(path, where, "';' is not allowed inside a skill token")
+                    rows.append((where, [str(record[c]) for c in columns[:-1]] + [";".join(tokens)]))
+            else:
+                reader = csv.reader(handle)
+                header = next(reader, None)
+                if header is None:
+                    _fail(path, "file", "empty file, expected a header row")
+                if [column.strip() for column in header] != list(columns):
+                    _fail(path, "line 1", f"expected header {','.join(columns)}")
+                rows = (
+                    (f"line {line}", row)
+                    for line, row in enumerate(reader, start=2)
+                    if row and (len(row) > 1 or row[0].strip())
+                )
+            records = []
+            for where, row in rows:
+                if len(row) != len(columns):
+                    _fail(path, where, f"expected {len(columns)} fields, got {len(row)}")
+                row[0] = row[0].strip()
+                if ";" in row[0]:
+                    _fail(path, where, "';' is not allowed inside an id")
+                row[-1] = [token for token in map(str.strip, row[-1].split(";")) if token]
+                records.append((where, row))
+    except UnicodeDecodeError as exc:
+        _fail(path, "file", f"not valid UTF-8 ({exc.reason})")
+    except csv.Error as exc:
+        _fail(path, f"line {reader.line_num}", f"unreadable CSV record: {exc}")
     return records
 
 

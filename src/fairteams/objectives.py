@@ -8,11 +8,14 @@ standard deviations (divide by the count, not count - 1).
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .model import AttributeClass, Candidate, ObjectiveVector, Project, Team
+
+if TYPE_CHECKING:
+    from .assembly import ProjectView
 
 
 def matched_cost(candidate: Candidate, project: Project) -> float:
@@ -137,44 +140,35 @@ _SCORE_ROWS = 1024
 
 
 def _row_sums(values: np.ndarray) -> np.ndarray:
-    """Sums over axis 1, added left to right as the scalar loops do.
+    """Sums over the last axis, added left to right as the scalar loops do.
 
     `np.sum` adds eight running partial sums from eight items on, which
     rounds differently from one left-to-right pass.
     """
-    return np.cumsum(values, axis=1)[:, -1]
+    return values.cumsum(axis=-1)[..., -1]
 
 
-def row_objectives(
-    rows: np.ndarray, members: Sequence[Candidate], loads: Sequence[float], costs: np.ndarray
-) -> np.ndarray:
+def row_objectives(rows: np.ndarray, view: ProjectView) -> np.ndarray:
     """The objective vectors of many teams at once, one row of five per team.
 
-    Row i of the n x k integer matrix `rows` lists a team's members as
-    positions into `members`, whose ids are distinct, into `loads` (each
-    member's `matched_cost`) and into the rows of `costs` (the member's cost
-    per sorted requirement, +inf where not offered). Each row is first put in
-    member-id order, the order of `Team`, and every sum then runs left to
-    right along it, so row i equals `objective_vector` of that team bit for
-    bit. Rows are scored `_SCORE_ROWS` at a time; the result does not depend
-    on the block size.
+    Row i of the n x k integer matrix `rows` lists a team's members as rows
+    of the project view: positions into `view.loads` (each member's
+    `matched_cost`), `view.class_one`, `view.costs` (the member's cost per
+    sorted requirement, +inf where not offered) and `view.id_ranks`, which
+    follows member-id order. Each row is first put in that order, the order
+    of `Team`, and every sum then runs left to right along it, so row i
+    equals `objective_vector` of that team bit for bit. Rows are scored
+    `_SCORE_ROWS` at a time; the result does not depend on the block size.
 
     Raises the `ValueError` that `objective_vector` raises for the first row
     with a zero cost or an objective that is not finite, whether or not that
     row would reach the team front.
     """
-    # only the members the rows use are ranked by id and gathered; they are
-    # found with a mask, as `np.unique` raised peak memory by about 1 MB
-    used = np.zeros(len(members), dtype=bool)
-    used[rows] = True
-    by_id = sorted(np.flatnonzero(used).tolist(), key=lambda i: members[i].id)
-    rank = np.empty(len(members), dtype=np.intp)
-    rank[by_id] = np.arange(len(by_id))
-    ordered = np.sort(rank[rows], axis=1)
-    member_loads = np.array([loads[i] for i in by_id])
-    zero = np.array([members[i].attribute is AttributeClass.ZERO for i in by_id])
-    offered = costs[by_id]
-    member_costs = np.where(np.isfinite(offered), offered, 0.0)
+    loads, class_one, costs = view.loads, view.class_one, view.costs
+    # id ranks are distinct, so sorting (rank, position) pairs packed in one
+    # integer puts each row in id order
+    ordered = np.sort(view.id_ranks[rows] * len(loads) + rows, axis=1) % len(loads)
+    member_costs = np.where(np.isfinite(costs), costs, 0.0)
     count, size = rows.shape
     width = costs.shape[1]
     scores = np.empty((count, 5))
@@ -183,9 +177,9 @@ def row_objectives(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, count, _SCORE_ROWS):
             part = ordered[start : start + _SCORE_ROWS]
-            team_loads, is_zero = member_loads[part], zero[part]
-            cost_zero = _row_sums(np.where(is_zero, team_loads, 0.0))
-            cost_one = _row_sums(np.where(is_zero, 0.0, team_loads))
+            team_loads, is_one = loads[part], class_one[part]
+            # each class's loads in member order, the other class's as 0.0
+            cost_zero, cost_one = _row_sums(np.where((~is_one, is_one), team_loads, 0.0))
             total = cost_zero + cost_one
             spread = team_loads - (total / size)[:, None]
             # per-requirement totals, member by member, without an n x k x r gather
@@ -197,7 +191,7 @@ def row_objectives(
             out[:, 0] = total
             out[:, 1] = np.sqrt(_row_sums(spread * spread) / size)
             out[:, 2] = np.sqrt(_row_sums(gaps * gaps) / width)
-            out[:, 3] = np.abs(2 * np.count_nonzero(is_zero, axis=1) - size) / size
+            out[:, 3] = np.abs(size - 2 * is_one.sum(axis=1)) / size
             out[:, 4] = np.abs(cost_zero - cost_one) / total
     if not np.isfinite(scores).all():
         first = scores[np.flatnonzero(~np.isfinite(scores).all(axis=1))[0]].tolist()

@@ -58,19 +58,21 @@ def pareto_front(items: Iterable[tuple[Key, Sequence[float]]]) -> list[Key]:
     return [entries[i][0] for i in _front_rows(points).tolist()]
 
 
-def _dominated(rivals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _dominated(
+    rivals: np.ndarray, rows: np.ndarray, rival_runs: np.ndarray, row_runs: np.ndarray
+) -> np.ndarray:
     """For each column of `rows`, whether some column of `rivals` dominates it.
 
-    Both hold one point per column. One (rivals x rows) comparison per
+    Both hold one point per column, and each point's run: equal points, and
+    only they, share a run. A rival no worse than a row everywhere dominates
+    it unless the two are equal. One (rivals x rows) comparison per
     coordinate: reducing over a short trailing coordinate axis is several
     times slower.
     """
-    no_worse = np.ones((rivals.shape[1], rows.shape[1]), dtype=bool)
-    better = np.zeros_like(no_worse)
-    for theirs, mine in zip(rivals[:, :, None], rows):
+    no_worse = rivals[0][:, None] <= rows[0]
+    for theirs, mine in zip(rivals[1:, :, None], rows[1:]):
         no_worse &= theirs <= mine
-        better |= theirs < mine
-    return (no_worse & better).any(axis=0)
+    return (no_worse & (rival_runs[:, None] != row_runs)).any(axis=0)
 
 
 def _front_rows(points: np.ndarray) -> np.ndarray:
@@ -85,17 +87,46 @@ def _front_rows(points: np.ndarray) -> np.ndarray:
     # A dominating point is lexicographically smaller, so it sorts earlier;
     # by transitivity a dominated point is also dominated by a front point,
     # which sits in an earlier block (and dropped it) or in its own block.
-    # Equal rows never dominate each other, so duplicates all survive.
+    # Equal rows sort next to each other, into one run, and never dominate
+    # each other, so duplicates all survive.
     order = np.lexsort(points.T[::-1])
     columns = points[order].T
+    runs = np.cumsum(np.concatenate(([0], (columns[:, 1:] != columns[:, :-1]).any(axis=0))))
     kept = [np.empty(0, dtype=np.intp)]
     while order.size:
-        block = columns[:, :_BLOCK]
-        winners = ~_dominated(block, block)
+        block, block_runs = columns[:, :_BLOCK], runs[:_BLOCK]
+        winners = ~_dominated(block, block, block_runs, block_runs)
         kept.append(order[:_BLOCK][winners])
         if order.size <= _BLOCK:
             break
-        alive = ~_dominated(block[:, winners], columns[:, _BLOCK:])
-        order = order[_BLOCK:][alive]
-        columns = columns[:, _BLOCK:][:, alive]
+        later = columns[:, _BLOCK:]
+        alive = ~_dominated(block[:, winners], later, block_runs[winners], runs[_BLOCK:])
+        order, columns, runs = order[_BLOCK:][alive], later[:, alive], runs[_BLOCK:][alive]
     return np.sort(np.concatenate(kept))
+
+
+def _support_front_rows(costs: np.ndarray) -> np.ndarray:
+    """`_front_rows` of a matrix whose entries are finite or +inf, split by
+    each row's support, its finite columns, as skylines over incomplete data
+    are bucketed (Khalefa, Mokbel & Levandoski, ICDE 2008).
+
+    A row that dominates another is finite wherever the other is. So a row
+    finite only in column j is dominated exactly by a lower value in column
+    j, or by an equal one in a row finite elsewhere too: it stays when it
+    holds column j's minimum and no row of wider support ties it there.
+    Rows of wider support can be dominated only by each other, and only
+    they are swept. A row with no finite entry loses to any one-column row.
+    """
+    support = np.isfinite(costs).sum(axis=1)
+    single = support == 1
+    if not single.any():
+        return _front_rows(costs)
+    wide = np.flatnonzero(support > 1)
+    rest = costs[wide]
+    lows = costs.min(axis=0)
+    # no one-column row stays at a minimum that a wider row ties, or at an
+    # infinite one, which they all hold
+    lows[(rest == lows).any(axis=0) | (lows == np.inf)] = np.nan
+    on = single & (costs == lows).any(axis=1)
+    on[wide[_front_rows(rest)]] = True
+    return np.flatnonzero(on)

@@ -549,8 +549,8 @@ def test_every_mode_picks_from_the_front_alone(sampled, seed):
     vectors = [vector_of[team.member_ids()] for team in teams]
     front = sorted(oracle_front_indices([vector.as_tuple() for vector in vectors]))
 
-    def injected(positions, candidates, *arrays):
-        keys = [tuple(sorted(candidates[j].id for j in row)) for row in positions.tolist()]
+    def injected(positions, view):
+        keys = [tuple(sorted(view.matching[j].id for j in row)) for row in positions.tolist()]
         return np.array([vector_of[key].as_tuple() for key in keys])
 
     with (

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 
 import pytest
 
@@ -24,6 +26,7 @@ from fairteams import (
     synthesize_pool,
     synthesize_projects,
 )
+from fairteams.cli import main
 from fairteams.data_io import skill_universe
 
 POOL_CSV = """id,cost,attribute,skills
@@ -110,6 +113,48 @@ def test_load_pool_json_errors_name_the_record(tmp_path):
     path = _write(tmp_path, "skill.json", json.dumps(records))
     with pytest.raises(DataFormatError, match="record 2: ';'"):
         load_pool(path)
+
+
+def _assert_data_error(tmp_path, capsys, path, where):
+    """`load_pool` raises a `DataFormatError` that starts with the path and
+    `where`, and `fairteams bench` on the file exits 2 naming it."""
+    with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: {where}: ')}"):
+        load_pool(path)
+    projects = _write(tmp_path, "projects.csv", PROJECT_CSV)
+    outputs = ["--out", str(tmp_path / "report.txt"), "--log", str(tmp_path / "log.csv")]
+    assert main(["bench", "--pool", str(path), "--projects", str(projects), *outputs]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {path}: {where}: ")
+
+
+@pytest.mark.parametrize("name", ["pool.csv", "pool.json"])
+def test_invalid_utf8_is_a_data_error(tmp_path, capsys, name):
+    text = POOL_CSV if name.endswith(".csv") else json.dumps(
+        [{"id": "u7", "cost": 0.05, "attribute": "1", "skills": ["java"]}]
+    )
+    path = tmp_path / name
+    path.write_bytes(text.replace("java", "ja\udcffva").encode("utf-8", "surrogateescape"))
+    _assert_data_error(tmp_path, capsys, path, "file")
+
+
+def test_an_oversized_csv_field_is_a_data_error_naming_its_line(tmp_path, capsys):
+    # the csv module refuses fields over 131,072 characters
+    path = _write(tmp_path, "pool.csv", POOL_CSV + "u9,0.5,1," + "x" * 140_000 + "\n")
+    _assert_data_error(tmp_path, capsys, path, "line 4")
+
+
+def test_deeply_nested_json_is_a_data_error(tmp_path, capsys):
+    path = _write(tmp_path, "pool.json", "[" * 100_000 + "]" * 100_000)
+    _assert_data_error(tmp_path, capsys, path, "file")
+
+
+def test_a_nul_byte_is_a_data_error_on_python_3_10_only(tmp_path, capsys):
+    # Python 3.10's csv module raises "line contains NUL"; from 3.11 on it
+    # reads the NUL into the field like any other character
+    path = _write(tmp_path, "pool.csv", POOL_CSV + "u9,0.5,1,s\x00ql\n")
+    if sys.version_info < (3, 11):
+        _assert_data_error(tmp_path, capsys, path, "line 4")
+    else:
+        assert load_pool(path)[-1].cost_profile == {"s\x00ql": 0.5}
 
 
 def test_load_pool_bound_keeps_objectives_finite(tmp_path):

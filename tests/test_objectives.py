@@ -30,7 +30,7 @@ from fairteams import (
     workload_unevenness,
 )
 from fairteams import objectives
-from fairteams.assembly import project_view
+from fairteams.assembly import ProjectView, project_view
 from fairteams.objectives import _spread, row_objectives
 
 # frozen targets for the three-member fixture, computed by hand:
@@ -232,10 +232,19 @@ def test_vector_rejects_a_team_with_zero_matched_cost():
 
 
 def test_kernel_rejects_a_team_with_zero_matched_cost():
-    # the team above as kernel inputs: load 0.0, requirement not offered
+    # the team above as a view row: load 0.0, requirement not offered; a
+    # view built from a pool never holds such a row, so this one is built by hand
     member = Candidate("c", AttributeClass.ZERO, {"z": 1.0})
+    view = ProjectView(
+        [member],
+        np.full((1, 1), np.inf),
+        np.zeros(1),
+        [0],
+        np.zeros(1, dtype=np.intp),
+        np.zeros(1, dtype=bool),
+    )
     with pytest.raises(ValueError, match="zero matched cost"):
-        row_objectives(np.array([[0]]), [member], [0.0], np.full((1, 1), np.inf))
+        row_objectives(np.array([[0]]), view)
 
 
 @st.composite
@@ -370,8 +379,7 @@ def row_instances(draw):
 def test_row_kernel_equals_objective_vector_bit_for_bit(instance):
     pool, project, rows = instance
     view = project_view(pool, project)
-    inputs = rows, view.matching, view.loads, view.costs
-    scores = row_objectives(*inputs)
+    scores = row_objectives(rows, view)
     want = [
         objective_vector(Team(view.matching[i] for i in row), project).as_tuple()
         for row in rows.tolist()
@@ -381,5 +389,26 @@ def test_row_kernel_equals_objective_vector_bit_for_bit(instance):
     # the block size bounds memory and changes nothing else
     for block in (1, 3):
         with patch.object(objectives, "_SCORE_ROWS", block):
-            again = row_objectives(*inputs)
+            again = row_objectives(rows, view)
         assert np.array_equal(again.view(np.uint64), scores.view(np.uint64))
+
+
+def test_row_kernel_adds_in_id_order_where_it_runs_against_pool_order():
+    # pool positions 0, 1, 2 hold ids c, b, a: summed by position the loads
+    # give 0.3 + 0.2 + 0.1 = 0.6, by id 0.1 + 0.2 + 0.3 = 0.6000000000000001
+    pool = [
+        Candidate(cid, attribute, {"s": cost, "t": cost})
+        for cid, attribute, cost in (
+            ("c", AttributeClass.ZERO, 0.3),
+            ("b", AttributeClass.ONE, 0.2),
+            ("a", AttributeClass.ZERO, 0.1),
+        )
+    ]
+    project = Project("p", frozenset({"s"}))
+    view = project_view(pool, project)
+    assert view.id_ranks.tolist() == [2, 1, 0]
+    for row in ([0, 1, 2], [2, 0, 1], [0, 2]):
+        scores = row_objectives(np.array([row]), view)
+        want = objective_vector(Team(pool[i] for i in row), project).as_tuple()
+        assert np.array_equal(scores.view(np.uint64), np.array([want]).view(np.uint64))
+    assert row_objectives(np.array([[0, 1, 2]]), view)[0, 0] == 0.1 + 0.2 + 0.3

@@ -8,11 +8,11 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairteams import dominates, pareto, pareto_front
-from fairteams.pareto import _front_rows
+from fairteams.pareto import _front_rows, _support_front_rows
 
 INF = math.inf
 
@@ -276,3 +276,40 @@ def test_front_rows_drop_a_row_only_a_later_winner_dominates():
     for block in (2, pareto._BLOCK):
         with patch.object(pareto, "_BLOCK", block):
             assert _front_rows(points).tolist() == [1, 2]
+
+
+# -- the candidate front split by requirement support -------------------------
+
+
+@st.composite
+def cost_matrices(draw):
+    """Matrices shaped like a project's cost matrix: 1-5 columns, half or
+    more of the entries +inf and the rest one of a few costs, so one-column
+    rows, ties at a column's minimum between one-column and wider rows,
+    equal minimums and rows with no finite entry are all common."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    size = draw(st.integers(min_value=0, max_value=120))
+    palette = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=3))
+    finite_share = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    costs = rng.choice(palette, size=(size, width))
+    costs[rng.random((size, width)) >= finite_share] = INF
+    return costs
+
+
+@settings(deadline=None, max_examples=300)
+@given(cost_matrices())
+# a wider row ties the one-column row's minimum, and dominates it
+@example(np.array([[1.0, INF], [1.0, 2.0]]))
+# only a wider row holds column 0's minimum
+@example(np.array([[2.0, INF], [1.0, 5.0], [INF, 3.0]]))
+# equal one-column minimums all stay
+@example(np.array([[1.0, INF], [1.0, INF], [INF, 3.0], [2.0, INF]]))
+def test_support_split_matches_all_pairs_reference(costs):
+    want = all_pairs_front([tuple(row) for row in costs.tolist()])
+    # the block size sweeps the wider rows in one block or in many
+    for block in (2, pareto._BLOCK):
+        with patch.object(pareto, "_BLOCK", block):
+            got = _support_front_rows(costs)
+        assert got.dtype == np.intp
+        assert got.tolist() == want

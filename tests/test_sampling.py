@@ -147,9 +147,10 @@ def test_mask_coverage_and_dedup_equal_the_scalar_references(instance, data):
 
     scored = Counter()
 
-    def counted_kernel(positions, candidates, *arrays):
-        scored.update(tuple(sorted(candidates[j].id for j in row)) for row in positions.tolist())
-        return row_objectives(positions, candidates, *arrays)
+    def counted_kernel(positions, on_view):
+        ids = [tuple(sorted(on_view.matching[j].id for j in row)) for row in positions.tolist()]
+        scored.update(ids)
+        return row_objectives(positions, on_view)
 
     with patch.object(assembly, "_sample_rows", sampler):
         teams = form_random_teams(members, len(rows), team_size, 0)

@@ -73,8 +73,10 @@ def _assert_view_matches(pool, project):
     assert view.costs.shape == (len(matching), len(project.requirements))
     assert not view.costs.flags.writeable
     assert view.costs.tolist() == costs
-    assert view.loads == loads
-    assert all(type(load) is float for load in view.loads)
+    assert view.loads.dtype == np.float64 and not view.loads.flags.writeable
+    assert view.loads.tolist() == loads
+    assert view.load_list == loads
+    assert all(type(load) is float for load in view.load_list)
     assert view.masks == masks
     assert all(type(mask) is int for mask in view.masks)
     if matching:
@@ -203,7 +205,7 @@ def test_an_empty_pool_or_an_infeasible_project_gives_an_empty_view():
         filter_candidates([Candidate("m", AttributeClass.ZERO, {"x": 1.0})], project)
     for pool in ([], [Candidate("m", AttributeClass.ZERO, {"x": 1.0})]):
         view = _assert_view_matches(pool, project)
-        assert view.matching == [] and view.loads == [] and view.masks == []
+        assert view.matching == [] and view.loads.shape == (0,) and view.masks == []
         assert view.costs.shape == (0, 3)
 
 
@@ -213,9 +215,9 @@ def test_views_differing_only_in_costs_are_unequal():
     pool = [Candidate("m", AttributeClass.ZERO, {"a": 1.0, "b": 2.0, "c": 1.0})]
     first = project_view(pool, Project("p", frozenset({"a", "b"})))
     second = project_view(pool, Project("q", frozenset({"b", "c"})))
-    assert (first.matching, first.loads, first.masks) == (
+    assert (first.matching, first.loads.tolist(), first.masks) == (
         second.matching,
-        second.loads,
+        second.loads.tolist(),
         second.masks,
     )
     assert first != second
@@ -261,4 +263,4 @@ def test_an_indexed_profile_cannot_be_edited_behind_the_view():
         pool[0].cost_profile["b"] = 2.0
     view = _assert_view_matches(pool, project)
     assert view.costs.tolist() == [[1.0, float("inf")]]
-    assert view.loads == [1.0]
+    assert view.loads.tolist() == [1.0]
