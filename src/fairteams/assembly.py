@@ -41,6 +41,7 @@ class SelectionMode(Enum):
     TOP_REPRESENTATION = "top-representation"
     TOP_COST_DIFFERENCE = "top-costdiff"
     TOP_SUM = "top-sum"
+    __hash__ = object.__hash__  # as `AttributeClass`'s
 
 
 _OBJECTIVE_AXIS = {
@@ -316,21 +317,18 @@ def _run_pipeline(
     team_size: int,
     num_teams: int,
     rng: np.random.Generator,
-    view: ProjectView | None,
-) -> tuple[AssemblyDiagnostics, list[tuple[Team, ObjectiveVector]], np.ndarray]:
+    view: ProjectView,
+) -> tuple[AssemblyDiagnostics, np.ndarray, np.ndarray, np.ndarray]:
     """Sample teams and take their front.
 
-    Returns the diagnostics, the distinct teams on the team front as (team,
-    vector) pairs, and for each covering draw on the front, in draw order,
-    the index of its team in that list.
+    Returns the diagnostics; the distinct teams on the team front, as rows of
+    positions into `view`, and their n x 5 objective scores; and for each
+    covering draw on the front, in draw order, the index of its team's row.
     """
-    if view is None:
-        view = project_view(pool, project)
     # the candidate front; every sampled row holds positions in it
     front_rows = _support_front_rows(view.costs)
-    members = [view.matching[i] for i in front_rows.tolist()]
-    if members:
-        rows = _sample_rows(len(members), num_teams, team_size, rng)
+    if len(front_rows):
+        rows = _sample_rows(len(front_rows), num_teams, team_size, rng)
     else:
         rows = np.empty((0, team_size), dtype=np.intp)
     # one opaque byte string per row: np.unique sorts these several times
@@ -348,71 +346,65 @@ def _run_pipeline(
     # so the front is taken over the distinct covering teams; `place` holds
     # each distinct row's index on it, or -1.
     place = np.full(len(distinct), -1)
-    front: list[tuple[Team, ObjectiveVector]] = []
+    team_rows, scores = np.empty((0, width), dtype=np.intp), np.empty((0, 5))
     covering = distinct[covers]
     if len(covering):
         # rows of positions into the candidate front, as positions into the view
         on_view = front_rows[covering]
         scores = row_objectives(on_view, view)
         kept = _front_rows(scores)
-        front = [
-            (Team(members[i] for i in row), ObjectiveVector(*vector))
-            for row, vector in zip(covering[kept].tolist(), scores[kept].tolist())
-        ]
+        team_rows, scores = on_view[kept], scores[kept]
         place[np.flatnonzero(covers)[kept]] = np.arange(len(kept))
     copies = place[draws]
     copies = copies[copies >= 0]
     covered = int(np.count_nonzero(covers[draws]))
-    filtered = len(view.matching)
+    filtered, candidates = len(view.matching), len(front_rows)
     diagnostics = AssemblyDiagnostics(
         pool_size=len(pool),
         filtered_size=filtered,
-        pareto_candidate_count=len(members),
+        pareto_candidate_count=candidates,
         teams_sampled=len(rows),
         full_coverage_count=covered,
         pareto_team_count=len(copies),
-        candidate_reduction=1.0 - len(members) / filtered if filtered else 0.0,
+        candidate_reduction=1.0 - candidates / filtered if filtered else 0.0,
         team_reduction=1.0 - len(copies) / covered if covered else 0.0,
-        used_fallback_team=0 < len(members) < team_size,
+        used_fallback_team=0 < candidates < team_size,
     )
-    return diagnostics, front, copies
+    return diagnostics, team_rows, scores, copies
 
 
-def _normalized_sums(vectors: Sequence[ObjectiveVector]) -> list[float]:
-    """Sum of min-max normalized objectives per vector; constant axes count 0."""
-    columns = list(zip(*(vec.as_tuple() for vec in vectors)))
-    sums = [0.0] * len(vectors)
-    for column in columns:
+def _normalized_sums(values: Sequence[Sequence[float]]) -> list[float]:
+    """Sum of min-max normalized objectives per row; constant axes count 0."""
+    sums = [0.0] * len(values)
+    for column in zip(*values):
         low, high = min(column), max(column)
-        if high == low:
-            continue
-        span = high - low
-        for i, value in enumerate(column):
-            sums[i] += (value - low) / span
+        if high != low:
+            for i, value in enumerate(column):
+                sums[i] += (value - low) / (high - low)
     return sums
 
 
-def _select_index(
-    front: Sequence[tuple[Team, ObjectiveVector]],
-    sums: Sequence[float],
-    selection: SelectionMode,
-    rng: np.random.Generator,
-    copies: np.ndarray,
-) -> int:
-    """Index of the pick in `front`; `sums` are the front's normalized sums.
+def _picks(
+    values: list[list[float]], ranks: list[list[int]], rng: np.random.Generator, copies: np.ndarray
+) -> dict[SelectionMode, int]:
+    """Each mode's pick, as an index into the front's rows `values`.
 
     `random` draws one copy: an entry of `copies`, which maps each sampled
-    copy to its place in `front`. Every other mode takes the least (value on
-    its axis, normalized sum, member ids); `top-sum` has no axis and reads 0.0.
+    copy to its row. Every other mode takes the least (value on its axis,
+    normalized sum, member ids); `top-sum` has no axis. `ranks[i]` holds row
+    i's member id ranks, ascending. Ranks follow id order and all rows have
+    one width, so comparing rank rows compares member-id tuples.
     """
-    if selection is SelectionMode.RANDOM:
-        return int(copies[rng.integers(len(copies))])
-    axis = _OBJECTIVE_AXIS.get(selection)
-    keys = [
-        (0.0 if axis is None else vector.as_tuple()[axis], total, team.member_ids())
-        for (team, vector), total in zip(front, sums)
-    ]
-    return keys.index(min(keys))
+    sums = _normalized_sums(values)
+    # ascending by (normalized sum, member ids); `min` keeps the first of equal
+    # values, so on this order it gives an axis's least (value, sum, ids)
+    order = sorted(range(len(values)), key=lambda i: (sums[i], ranks[i]))
+    picks = {
+        mode: min(order, key=lambda i: values[i][axis]) for mode, axis in _OBJECTIVE_AXIS.items()
+    }
+    picks[SelectionMode.TOP_SUM] = order[0]
+    picks[SelectionMode.RANDOM] = int(copies[rng.integers(len(copies))])
+    return picks
 
 
 def assemble_all_selections(
@@ -430,7 +422,7 @@ def assemble_all_selections(
     3 and smaller than the pool, `num_teams` is at least 1, `seed` fits in
     64 unsigned bits and the pool's ids are distinct. An outcome has no team
     when no sampled team covers every requirement; its diagnostics are
-    populated either way.
+    populated either way. Modes that pick the same team share one outcome.
 
     The modes share the sampling draws, and only `random` reads the generator
     after sampling, once. `view`, if given, must be
@@ -446,16 +438,23 @@ def assemble_all_selections(
         raise ValueError(
             f"team_size {team_size} must be smaller than the pool ({len(pool)} candidates)"
         )
+    if view is None:
+        view = project_view(pool, project)
     rng = project_rng(seed, project.id)
-    diagnostics, front, copies = _run_pipeline(pool, project, team_size, num_teams, rng, view)
-    sums = _normalized_sums([vector for _, vector in front])
-    outcomes: dict[SelectionMode, AssemblyOutcome] = {}
-    for mode in SelectionMode:
-        team = vector = None
-        if front:
-            team, vector = front[_select_index(front, sums, mode, rng, copies)]
-        outcomes[mode] = AssemblyOutcome(team, vector, diagnostics)
-    return outcomes
+    diagnostics, rows, scores, copies = _run_pipeline(pool, project, team_size, num_teams, rng, view)
+    if not len(rows):
+        return dict.fromkeys(SelectionMode, AssemblyOutcome(None, None, diagnostics))
+    values = scores.tolist()
+    # the bounds `ObjectiveVector` checks, on every front row, picked or not
+    if not (np.isfinite(scores).all() and scores.min() >= 0.0 and scores[:, 3:].max() <= 1.0):
+        for row in values:
+            ObjectiveVector(*row)  # raises for the first row outside them
+    picks = _picks(values, np.sort(view.id_ranks[rows], axis=1).tolist(), rng, copies)
+    built: dict[int, AssemblyOutcome] = {}
+    for index in dict.fromkeys(picks.values()):
+        team = Team(view.matching[i] for i in rows[index].tolist())
+        built[index] = AssemblyOutcome(team, ObjectiveVector(*values[index]), diagnostics)
+    return {mode: built[picks[mode]] for mode in SelectionMode}
 
 
 class _LazyQueue:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
-from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 from .assembly import (
@@ -25,7 +26,6 @@ from .assembly import (
     project_view,
 )
 from .model import OBJECTIVE_NAMES, Candidate, Project
-from .objectives import _spread
 
 METHODS = ("multi", "incremental", "fair-alloc")
 
@@ -136,21 +136,28 @@ def aggregate_records(
     records: Sequence[OutcomeRecord], targets: Sequence[RunTarget], project_count: int
 ) -> RunReport:
     """Ordered reduction: per target, stats over outcomes sorted by project id."""
-    groups: defaultdict[RunTarget, list[OutcomeRecord]] = defaultdict(list)
+    # keyed by fields: a frozen dataclass hashes through a Python function
+    groups: dict[tuple[str, SelectionMode | None], list[OutcomeRecord]] = {}
     for record in records:
-        groups[record.target].append(record)
+        groups.setdefault((record.target.method, record.target.selection), []).append(record)
     rows = []
     for target in targets:
-        mine = sorted(groups[target], key=lambda r: r.project_id)
-        formed = [r.outcome for r in mine if r.outcome.formed]
+        mine = sorted(groups.get((target.method, target.selection), ()), key=lambda r: r.project_id)
+        formed = [r.outcome.objectives.as_tuple() for r in mine if r.outcome.formed]
         means = stds = None
         if formed:
-            columns = list(zip(*(o.objectives.as_tuple() for o in formed)))
-            means = tuple(sum(col) / len(col) for col in columns)
-            stds = tuple(_spread(col, sum(col)) for col in columns)
+            means = tuple([sum(column) / len(formed) for column in zip(*formed)])
+            # `_spread` of all five objectives in one pass: `d * d`, added left to right
+            m0, m1, m2, m3, m4 = means
+            s0 = s1 = s2 = s3 = s4 = 0.0
+            for v0, v1, v2, v3, v4 in formed:
+                d0, d1, d2, d3, d4 = v0 - m0, v1 - m1, v2 - m2, v3 - m3, v4 - m4
+                s0, s1, s2 = s0 + d0 * d0, s1 + d1 * d1, s2 + d2 * d2
+                s3, s4 = s3 + d3 * d3, s4 + d4 * d4
+            stds = tuple([math.sqrt(s / len(formed)) for s in (s0, s1, s2, s3, s4)])
         if target.method == "multi" and mine:
-            cand_mean = sum(r.outcome.diagnostics.candidate_reduction for r in mine) / len(mine)
-            team_mean = sum(r.outcome.diagnostics.team_reduction for r in mine) / len(mine)
+            cand_mean = sum([r.outcome.diagnostics.candidate_reduction for r in mine]) / len(mine)
+            team_mean = sum([r.outcome.diagnostics.team_reduction for r in mine]) / len(mine)
         else:
             cand_mean = team_mean = None
         rows.append(
@@ -179,8 +186,8 @@ def run_benchmark(
     """Evaluate every target on every project; infeasible projects count as failures.
 
     Returns the aggregate report plus the raw per-project records backing it.
-    `jobs` is capped at the project count and `os.cpu_count()`; a cap of 1
-    runs in-process.
+    `jobs` is capped at the project count and, when that leaves more than one,
+    at `os.cpu_count()`; a cap of 1 runs in-process.
     """
     if not projects:
         raise ValueError("project corpus is empty")
@@ -188,7 +195,8 @@ def run_benchmark(
         raise ValueError("no targets selected")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    workers = min(jobs, len(projects), os.cpu_count() or 1)
+    workers = min(jobs, len(projects))
+    workers = min(workers, os.cpu_count() or 1) if workers > 1 else workers
     if workers == 1:
         batches = [
             _evaluate_project(pool, project, targets, team_size, num_teams, seed)
@@ -282,40 +290,52 @@ _LOG_HEADER = [
 
 
 def emit_outcome_log(records: Sequence[OutcomeRecord]) -> str:
-    """Raw audit log, one row per (project, target), full float precision."""
-    ordered = sorted(records, key=lambda r: (r.target.label, r.project_id))
+    """Raw audit log, one row per (project, target), full float precision.
+
+    Rows are sorted by target label, then project id. Each target's cells,
+    each project id and each outcome's cells are formatted once per call,
+    then joined with commas: `csv.writer` quotes field by field, so the rows
+    are those it writes one record at a time.
+    """
+    # `writerow` returns what its file's `write` returns: here the row's text
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    groups: dict[str, list[OutcomeRecord]] = {}
+    by_target: dict[int, list[OutcomeRecord]] = {}
+    for record in records:
+        if id(record.target) not in by_target:
+            by_target[id(record.target)] = groups.setdefault(record.target.label, [])
+        by_target[id(record.target)].append(record)
+    ids: dict[str, str] = {}
+    tails: dict[int, str] = {}
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_LOG_HEADER)
-    for record in ordered:
-        outcome = record.outcome
-        diag = outcome.diagnostics
-        if outcome.formed:
-            objective_cells = [repr(v) for v in outcome.objectives.as_tuple()]
-            size = len(outcome.team)
-            members = ";".join(outcome.team.member_ids())
-        else:
-            objective_cells = [""] * len(OBJECTIVE_NAMES)
-            size = 0
-            members = ""
-        writer.writerow(
-            [
-                record.project_id,
-                record.target.method,
-                record.target.selection.value if record.target.selection else "",
-                int(outcome.formed),
-                *objective_cells,
-                size,
-                members,
-                diag.pool_size,
-                diag.filtered_size,
-                diag.pareto_candidate_count,
-                diag.teams_sampled,
-                diag.full_coverage_count,
-                diag.pareto_team_count,
-                repr(diag.candidate_reduction),
-                repr(diag.team_reduction),
-                int(diag.used_fallback_team),
-            ]
-        )
+    out.write(line(_LOG_HEADER))
+    for label in sorted(groups):
+        # `sorted` is stable: equal ids keep their input order, as under a (label, id) sort
+        mine = sorted(groups[label], key=lambda r: r.project_id)
+        target = mine[0].target
+        target_cells = line([target.method, getattr(target.selection, "value", "")])[:-1]
+        for record in mine:
+            pid, outcome = record.project_id, record.outcome
+            if pid not in ids:
+                # `csv` writes a row of one empty field as `""`, a cell among others as nothing
+                ids[pid] = line([pid])[:-1] if pid else ""
+            # an outcome is frozen and alive until the call returns, so its id stays its own
+            if id(outcome) not in tails:
+                diag = outcome.diagnostics
+                if outcome.formed:
+                    objective_cells = [repr(v) for v in outcome.objectives.as_tuple()]
+                    size = len(outcome.team)
+                    members = ";".join(outcome.team.member_ids())
+                else:
+                    objective_cells = [""] * len(OBJECTIVE_NAMES)
+                    size = 0
+                    members = ""
+                tails[id(outcome)] = line(
+                    [int(outcome.formed), *objective_cells, size, members]
+                    + [diag.pool_size, diag.filtered_size, diag.pareto_candidate_count]
+                    + [diag.teams_sampled, diag.full_coverage_count, diag.pareto_team_count]
+                    + [repr(diag.candidate_reduction), repr(diag.team_reduction)]
+                    + [int(diag.used_fallback_team)]
+                )
+            out.write(f"{ids[pid]},{target_cells},{tails[id(outcome)]}")
     return out.getvalue()

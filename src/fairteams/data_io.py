@@ -7,7 +7,8 @@ Two interchangeable on-disk formats, picked by extension:
   Pool columns are ``id,cost,attribute,skills``; project columns ``id,skills``.
   Attribute tokens are ``0``/``1``; decimal costs use ``.``.
 * JSON (``.json``): an array of objects carrying the same fields, with
-  ``skills`` as a list of tokens.
+  ``skills`` as a list of tokens. Ids, costs, attributes and skill tokens
+  must be JSON strings or numbers.
 
 A candidate record declares one cost; the loaded cost profile maps every
 listed skill to that declared cost. Ids and skill tokens may not contain
@@ -35,6 +36,8 @@ _ATTRIBUTE_TOKENS = {"0": AttributeClass.ZERO, "1": AttributeClass.ONE}
 _POOL_COLUMNS = ("id", "cost", "attribute", "skills")
 _PROJECT_COLUMNS = ("id", "skills")
 _MAX_POOL_TOTAL = math.sqrt(sys.float_info.max / 2)
+# the JSON values an id, cost, attribute or skill token may not be
+_JSON_KINDS = {dict: "an object", list: "an array", type(None): "null", bool: "a boolean"}
 
 
 class DataFormatError(ValueError):
@@ -85,10 +88,15 @@ def _read_records(path: str | Path, columns: Sequence[str]) -> list[tuple[str, l
                         _fail(path, where, f"missing fields: {', '.join(sorted(missing))}")
                     if not isinstance(record["skills"], list):
                         _fail(path, where, "skills must be a list of tokens")
+                    named = [(c, record[c]) for c in columns[:-1]]
+                    for name, value in named + [("skill token", t) for t in record["skills"]]:
+                        if type(value) in _JSON_KINDS:
+                            kind = _JSON_KINDS[type(value)]
+                            _fail(path, where, f"{name} must be a string or a number, not {kind}")
                     tokens = [str(token) for token in record["skills"]]
                     if any(";" in token for token in tokens):
                         _fail(path, where, "';' is not allowed inside a skill token")
-                    rows.append((where, [str(record[c]) for c in columns[:-1]] + [";".join(tokens)]))
+                    rows.append((where, [str(value) for _, value in named] + [";".join(tokens)]))
             else:
                 reader = csv.reader(handle)
                 header = next(reader, None)

@@ -18,6 +18,9 @@ class AttributeClass(Enum):
 
     ZERO = 0
     ONE = 1
+    # members are singletons, compared by identity and unpickled to themselves, so
+    # identity hashing agrees with `==` and skips `Enum.__hash__`, a Python function
+    __hash__ = object.__hash__
 
     def other(self) -> AttributeClass:
         return AttributeClass.ONE if self is AttributeClass.ZERO else AttributeClass.ZERO

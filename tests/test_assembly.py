@@ -40,7 +40,7 @@ from fairteams import (
     synthesize_pool,
     synthesize_projects,
 )
-from fairteams.assembly import _normalized_sums, _select_index, project_view
+from fairteams.assembly import _normalized_sums, _picks, project_view
 from fairteams.data_io import skill_universe
 from test_pareto import oracle_front_indices
 
@@ -311,7 +311,7 @@ def test_multi_objective_rejects_degenerate_sizes(demo_members, demo_project):
             demo_members, demo_project, SelectionMode.TOP_SUM, team_size=3, num_teams=10, seed=0
         )
     with pytest.raises(ValueError):
-        _one_mode([], demo_project, SelectionMode.TOP_SUM, team_size=3, num_teams=10, seed=0)
+        _one_mode([], demo_project, SelectionMode.TOP_SUM, team_size=3, num_teams=10, seed=1)
 
 
 _HUGE = 2.0**664
@@ -494,28 +494,40 @@ def _reference_select_index(covered, vectors, front, selection, rng):
     return front[best]
 
 
+_SHUFFLED = [_candidate(cid, AttributeClass.ZERO, {"s": 1.0}) for cid in "dbfeac"]
+"""A pool whose order is not id order."""
+
+
 @st.composite
-def _team_vector_pairs(draw):
-    """1-12 (team, vector) pairs from small palettes, so that axis ties, equal
-    sums and repeated member sets are common."""
-    pairs = []
-    for _ in range(draw(st.integers(1, 12))):
-        ids = draw(st.sets(st.sampled_from("abcde"), min_size=1, max_size=3))
-        team = Team(_candidate(cid, AttributeClass.ZERO, {"s": 1.0}) for cid in ids)
-        values = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=5, max_size=5))
-        pairs.append((team, ObjectiveVector(*values)))
-    return pairs
+def _front_rows_and_vectors(draw):
+    """1-12 distinct 3-member rows of positions in `_SHUFFLED`, with vectors
+    from a small palette, so that axis ties, equal sums and both at once
+    are common."""
+    triples = st.sets(st.integers(0, 5), min_size=3, max_size=3).map(sorted)
+    rows = draw(st.lists(triples, min_size=1, max_size=12, unique_by=tuple))
+    palette = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    vectors = [ObjectiveVector(*draw(st.lists(palette, min_size=5, max_size=5))) for _ in rows]
+    return rows, vectors
 
 
 @settings(deadline=None, max_examples=300)
-@given(front=_team_vector_pairs(), mode=st.sampled_from(ALL_MODES), seed=st.integers(0, 2**32 - 1))
-def test_select_index_equals_the_reference_rule(front, mode, seed):
-    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    teams = [team for team, _ in front]
-    vectors = [vector for _, vector in front]
-    got = _select_index(front, _normalized_sums(vectors), mode, rng, np.arange(len(front)))
-    want = _reference_select_index(teams, vectors, list(range(len(front))), mode, reference_rng)
-    assert got == want
+@given(front=_front_rows_and_vectors(), seed=st.integers(0, 2**32 - 1))
+def test_picks_equal_the_reference_rule(front, seed):
+    """Picks made on plain rows, with id ranks for member ids, equal the
+    reference rule applied to teams and vectors, and draw as it does."""
+    rows, vectors = front
+    by_id = sorted(c.id for c in _SHUFFLED)
+    ranks = [sorted(by_id.index(_SHUFFLED[i].id) for i in row) for row in rows]
+    teams = [Team(_SHUFFLED[i] for i in row) for row in rows]
+    values = [list(vector.as_tuple()) for vector in vectors]
+    assert _normalized_sums(values) == _reference_normalized_sums(vectors)
+    rng = np.random.default_rng(seed)
+    picks = _picks(values, ranks, rng, np.arange(len(rows)))
+    reference_rng = np.random.default_rng(seed)
+    for mode in ALL_MODES:
+        # only `random` reads the generator
+        want = _reference_select_index(teams, vectors, list(range(len(rows))), mode, reference_rng)
+        assert picks[mode] == want, mode
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
@@ -564,6 +576,40 @@ def test_every_mode_picks_from_the_front_alone(sampled, seed):
         want = _reference_select_index(teams, vectors, front, mode, project_rng(seed, project.id))
         assert outcome.team == teams[want]
         assert outcome.objectives == vectors[want]
+
+
+@pytest.mark.parametrize("axis, name", [(3, "representation"), (4, "cost_difference")])
+def test_a_front_row_outside_the_bounds_raises_when_no_mode_picks_it(axis, name):
+    """Three incomparable front teams: the middle one is least on no axis and
+    has the greatest normalized sum, and the `random` draw lands on the first
+    team's copies, so no mode picks it. A value above 1 on its `axis` must
+    still raise `ObjectiveVector`'s error."""
+    pool = [_candidate(cid, AttributeClass.ZERO, {"s": 1.0}) for cid in "dbeac"]
+    project = Project("bounds", frozenset({"s"}))
+    rows = np.array([[0, 1, 2]] * 8 + [[1, 2, 3], [2, 3, 4]])
+    middle = ("a", "b", "e")
+
+    def run(value):
+        vectors = {
+            ("b", "d", "e"): (0.0, 1.0, 0.5, 0.0, 0.5),
+            middle: tuple(value if k == axis else 0.5 for k in range(5)),
+            ("a", "c", "e"): (1.0, 0.0, 0.5, 0.0, 0.5),
+        }
+
+        def injected(positions, view):
+            keys = [tuple(sorted(view.matching[j].id for j in row)) for row in positions]
+            return np.array([vectors[key] for key in keys])
+
+        with (
+            patch("fairteams.assembly._sample_rows", lambda *args: rows),
+            patch("fairteams.assembly.row_objectives", injected),
+        ):
+            return assemble_all_selections(pool, project, team_size=3, num_teams=10, seed=1)
+
+    picked = {outcome.team.member_ids() for outcome in run(1.0).values()}
+    assert middle not in picked and len(picked) == 2
+    with pytest.raises(ValueError, match=f"{name} must lie in"):
+        run(1.25)
 
 
 # -- de-duplicated pipeline against the per-copy pipeline ----------------------

@@ -6,17 +6,26 @@ import csv
 import hashlib
 import io
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairteams import (
     DEFAULT_TARGETS,
+    AssemblyDiagnostics,
+    AssemblyOutcome,
+    AttributeClass,
+    Candidate,
+    ObjectiveVector,
     OutcomeRecord,
     Project,
     RunTarget,
     SelectionMode,
     SynthesisSpec,
+    Team,
     aggregate_records,
     assemble_all_selections,
     assemble_fair_allocation,
@@ -29,7 +38,9 @@ from fairteams import (
     synthesize_pool,
     synthesize_projects,
 )
-from fairteams.bench import RowAggregate, RunReport
+from fairteams.bench import _LOG_HEADER, RowAggregate, RunReport
+from fairteams.model import OBJECTIVE_NAMES
+from fairteams.objectives import _spread
 
 
 @pytest.fixture(scope="module")
@@ -358,3 +369,177 @@ def test_jobs_capped_to_projects_and_cpus(corpus, monkeypatch, jobs, cpus, worke
     monkeypatch.setattr("fairteams.bench.os.cpu_count", lambda: cpus)
     assert _run(corpus, jobs=jobs) == _run(corpus)
     assert started == ([workers] if workers else [])
+
+
+def test_one_job_never_asks_for_the_cpu_count(corpus, monkeypatch):
+    def no_count():
+        raise AssertionError("one worker needs no CPU count")
+
+    monkeypatch.setattr("fairteams.bench.os.cpu_count", no_count)
+    pool, projects = corpus
+    run_benchmark(pool, projects, team_size=3, num_teams=80, seed=9, jobs=1)
+    run_benchmark(pool, projects[:1], team_size=3, num_teams=80, seed=9, jobs=4)
+
+
+# -- the log and the aggregate against per-record references ------------------
+
+
+def _reference_outcome_log(records):
+    """The log as one `csv.writer` writes it, one record at a time."""
+    ordered = sorted(records, key=lambda r: (r.target.label, r.project_id))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_LOG_HEADER)
+    for record in ordered:
+        outcome = record.outcome
+        diag = outcome.diagnostics
+        if outcome.formed:
+            objective_cells = [repr(v) for v in outcome.objectives.as_tuple()]
+            size = len(outcome.team)
+            members = ";".join(outcome.team.member_ids())
+        else:
+            objective_cells = [""] * len(OBJECTIVE_NAMES)
+            size = 0
+            members = ""
+        writer.writerow(
+            [
+                record.project_id,
+                record.target.method,
+                record.target.selection.value if record.target.selection else "",
+                int(outcome.formed),
+                *objective_cells,
+                size,
+                members,
+                diag.pool_size,
+                diag.filtered_size,
+                diag.pareto_candidate_count,
+                diag.teams_sampled,
+                diag.full_coverage_count,
+                diag.pareto_team_count,
+                repr(diag.candidate_reduction),
+                repr(diag.team_reduction),
+                int(diag.used_fallback_team),
+            ]
+        )
+    return out.getvalue()
+
+
+def _reference_aggregate(records, targets, project_count):
+    """Per target, over its records sorted by project id: column sums with
+    `sum` and spreads with `_spread`, one objective at a time."""
+    groups = defaultdict(list)
+    for record in records:
+        groups[record.target].append(record)
+    rows = []
+    for target in targets:
+        mine = sorted(groups[target], key=lambda r: r.project_id)
+        formed = [r.outcome for r in mine if r.outcome.formed]
+        means = stds = None
+        if formed:
+            columns = list(zip(*(o.objectives.as_tuple() for o in formed)))
+            means = tuple(sum(col) / len(col) for col in columns)
+            stds = tuple(_spread(col, sum(col)) for col in columns)
+        cand_mean = team_mean = None
+        if target.method == "multi" and mine:
+            cand_mean = sum(r.outcome.diagnostics.candidate_reduction for r in mine) / len(mine)
+            team_mean = sum(r.outcome.diagnostics.team_reduction for r in mine) / len(mine)
+        rows.append(RowAggregate(target.label, len(formed), means, stds, cand_mean, team_mean))
+    return RunReport(project_count, tuple(rows))
+
+
+_TRICKY_IDS = ["", "p1", "a,b", 'say "hi"', "two\nlines", "cr\rid", " padded ", '"', ",", "\u00fc"]
+_VALUES = [0.0, 0.1, 1 / 3, 1e-300, 0.7, 12345.678, 1e16]
+_FRACTIONS = [0.0, 0.1, 1 / 3, 0.5, 1.0]
+
+
+@st.composite
+def _log_records(draw, targets=DEFAULT_TARGETS):
+    """Records under ids that need quoting, one of them empty, whose outcomes
+    share teams, objectives and diagnostics in every combination, unformed
+    outcomes included, under `targets` or equal copies of them."""
+    ids = draw(st.lists(st.sampled_from(_TRICKY_IDS[1:]), min_size=3, max_size=6, unique=True))
+    members = [Candidate(cid, AttributeClass.ZERO, {"s": 1.0}) for cid in ids]
+    positions = st.sets(st.integers(0, len(ids) - 1), min_size=1, max_size=3)
+    teams = [Team(members[i] for i in draw(positions)) for _ in range(draw(st.integers(1, 3)))]
+    vector = st.tuples(*[st.sampled_from(_VALUES)] * 3, *[st.sampled_from(_FRACTIONS)] * 2)
+    vectors = [ObjectiveVector(*draw(vector)) for _ in range(draw(st.integers(1, 6)))]
+    counts = st.lists(st.integers(0, 9), min_size=6, max_size=6)
+    diagnostics = [
+        AssemblyDiagnostics(
+            *draw(counts),
+            draw(st.sampled_from(_FRACTIONS)),
+            draw(st.sampled_from(_FRACTIONS)),
+            draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+    def outcome():
+        diag = draw(st.sampled_from(diagnostics))
+        if draw(st.booleans()):
+            return AssemblyOutcome(None, None, diag)
+        return AssemblyOutcome(draw(st.sampled_from(teams)), draw(st.sampled_from(vectors)), diag)
+
+    shared = [outcome() for _ in range(draw(st.integers(1, 4)))]
+    either = st.sampled_from([*targets, *(RunTarget(t.method, t.selection) for t in targets)])
+    return [
+        OutcomeRecord(
+            draw(st.sampled_from(_TRICKY_IDS)),
+            draw(either),
+            draw(st.sampled_from(shared)) if draw(st.booleans()) else outcome(),
+        )
+        for _ in range(draw(st.integers(0, 40)))
+    ]
+
+
+def test_ids_that_need_quoting_log_as_the_reference_with_one_worker_and_two():
+    """Picks shared by several modes and picks of one mode alone, under ids
+    with commas, quotes and line breaks; a worker returns one project's
+    records at a time, so the shared outcome objects differ between runs."""
+    data = Path(__file__).parent / "data"
+    pool = load_pool(data / "quoted_pool.csv")
+    projects = load_projects(data / "quoted_projects.csv")
+    logs = []
+    for jobs in (1, 2):
+        _, records = run_benchmark(pool, projects, team_size=3, num_teams=200, seed=3, jobs=jobs)
+        logs.append(emit_outcome_log(records))
+        assert logs[-1] == _reference_outcome_log(records)
+    assert logs[0] == logs[1]
+    rows = list(csv.DictReader(io.StringIO(logs[0])))
+    assert {row["project_id"] for row in rows} == {project.id for project in projects}
+    picks = {(row["project_id"], row["member_ids"]) for row in rows if row["method"] == "multi"}
+    assert len(projects) < len(picks) < len(projects) * len(SelectionMode)
+
+
+@settings(deadline=None, max_examples=300)
+@given(records=_log_records())
+def test_outcome_log_equals_the_per_record_writer(records):
+    assert emit_outcome_log(records) == _reference_outcome_log(records)
+
+
+def test_aggregate_adds_each_target_in_project_id_order():
+    """Costs whose spread differs in the last bit when its squares are added
+    in another order, given in reverse project-id order."""
+    team = Team([Candidate("m", AttributeClass.ZERO, {"s": 1.0})])
+    target = RunTarget("incremental")
+    records = [
+        OutcomeRecord(pid, target, AssemblyOutcome(team, ObjectiveVector(cost, 0, 0, 0, 0), None))
+        for pid, cost in [("c", 12345.678), ("b", 12345.678), ("a", 0.001)]
+    ]
+    (row,) = aggregate_records(records, [target], 3).rows
+    in_order = [0.001, 12345.678, 12345.678]
+    assert row.stds[0] == _spread(in_order, sum(in_order)) != _spread(in_order[::-1], sum(in_order))
+
+
+_TWO_TARGETS = (RunTarget("fair-alloc"), RunTarget("multi", SelectionMode.TOP_SUM))
+
+
+@settings(deadline=None, max_examples=300)
+@given(records=_log_records(_TWO_TARGETS))
+def test_aggregate_equals_the_per_objective_reference(records):
+    """Two targets, so that each adds up many vectors in project-id order."""
+    count = len({record.project_id for record in records})
+    targets = [*_TWO_TARGETS, RunTarget("incremental")]
+    assert aggregate_records(records, targets, count) == _reference_aggregate(
+        records, targets, count
+    )

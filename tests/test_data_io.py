@@ -147,6 +147,44 @@ def test_deeply_nested_json_is_a_data_error(tmp_path, capsys):
     _assert_data_error(tmp_path, capsys, path, "file")
 
 
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("id", {"x": 1}, "an object"),
+        ("cost", [0.5], "an array"),
+        ("attribute", None, "null"),
+        ("attribute", True, "a boolean"),
+        ("skills", ["sql", {"x": 1}], "an object"),
+        ("skills", [["sql"]], "an array"),
+        ("skills", [None], "null"),
+        ("skills", [False], "a boolean"),
+    ],
+)
+def test_json_tokens_must_be_strings_or_numbers(tmp_path, capsys, field, value, kind):
+    records = [
+        {"id": "u1", "cost": 0.5, "attribute": "0", "skills": ["java"]},
+        {"id": "u2", "cost": 0.5, "attribute": "1", "skills": ["sql"]},
+    ]
+    records[1][field] = value
+    path = _write(tmp_path, "pool.json", json.dumps(records))
+    with pytest.raises(DataFormatError, match=f"record 2: .* must be a string or a number, not {kind}$"):
+        load_pool(path)
+    _assert_data_error(tmp_path, capsys, path, "record 2")
+    project = {"id": "p1", "skills": ["sql"], field: value}
+    projects = _write(tmp_path, "projects.json", json.dumps([project]))
+    if field in ("id", "skills"):
+        with pytest.raises(DataFormatError, match=f"record 1: .* not {kind}$"):
+            load_projects(projects)
+
+
+def test_json_numbers_stay_tokens(tmp_path):
+    records = [{"id": 7, "cost": 0.5, "attribute": 1, "skills": [12, "sql", 1.5]}]
+    (candidate,) = load_pool(_write(tmp_path, "pool.json", json.dumps(records)))
+    assert candidate == Candidate("7", AttributeClass.ONE, dict.fromkeys(["12", "1.5", "sql"], 0.5))
+    (project,) = load_projects(_write(tmp_path, "p.json", json.dumps([{"id": 3, "skills": [12]}])))
+    assert project == Project("3", frozenset({"12"}))
+
+
 def test_a_nul_byte_is_a_data_error_on_python_3_10_only(tmp_path, capsys):
     # Python 3.10's csv module raises "line contains NUL"; from 3.11 on it
     # reads the NUL into the field like any other character

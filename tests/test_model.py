@@ -8,12 +8,31 @@ import pickle
 
 import pytest
 
-from fairteams import AttributeClass, Candidate, ObjectiveVector, Project, Team, coverage
+from fairteams import (
+    AttributeClass,
+    Candidate,
+    ObjectiveVector,
+    Project,
+    SelectionMode,
+    Team,
+    coverage,
+)
 
 
 def test_attribute_class_other():
     assert AttributeClass.ZERO.other() is AttributeClass.ONE
     assert AttributeClass.ONE.other() is AttributeClass.ZERO
+
+
+@pytest.mark.parametrize("member", [*AttributeClass, *SelectionMode], ids=str)
+def test_enum_members_hash_by_identity_and_pickle_to_themselves(member):
+    enum = type(member)
+    assert enum.__hash__ is object.__hash__
+    for other in enum:
+        assert (other == member) is (other is member)
+    again = pickle.loads(pickle.dumps(member))
+    assert again is member and hash(again) == hash(member)
+    assert {member: "found"}[again] == "found"
 
 
 def test_candidate_profile_normalized_to_sorted_keys():

@@ -1,11 +1,12 @@
 """The batched team sampler and the index-row pipeline against the scalar references.
 
 `_run_pipeline` samples each project's teams as one matrix of index rows into
-the candidate front, tests coverage with the requirement masks and scores each
-distinct covering row once, in one `row_objectives` pass. These tests check
-the draws themselves, and check the pipeline against `form_random_teams`,
-`coverage`, `objective_vector` and `pareto_front` applied to every sampled
-copy.
+the candidate front, tests coverage with the requirement masks, scores each
+distinct covering row once, in one `row_objectives` pass, and returns the team
+front as rows of positions into the project view, with their scores. These
+tests check the draws themselves, and check the pipeline against
+`form_random_teams`, `coverage`, `objective_vector` and `pareto_front` applied
+to every sampled copy.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fairteams import (
     AttributeClass,
     Candidate,
     Project,
+    Team,
     assemble_all_selections,
     coverage,
     form_random_teams,
@@ -77,21 +79,23 @@ def test_pipeline_counts_equal_the_per_copy_reference_across_key_blocks(build, b
         num_teams = int(rng.choice([1, 60, 1500]))
         seed = int(rng.integers(2**32))
         want, _ = _per_copy_reference(pool, project, team_size, num_teams, seed)
+        view = project_view(pool, project)
         with patch.object(assembly, "_KEY_ROWS", block):
-            got, front, copies = _run_pipeline(
-                pool, project, team_size, num_teams, project_rng(seed, project.id), None
+            got, rows, scores, copies = _run_pipeline(
+                pool, project, team_size, num_teams, project_rng(seed, project.id), view
             )
         assert got == want
         assert len(copies) == want.pareto_team_count
-        assert len({team.member_ids() for team, _ in front}) == len(front)
+        assert len({tuple(row) for row in rows.tolist()}) == len(rows) == len(scores)
 
 
 def test_a_fallback_front_draws_nothing():
     pool, project, team_size = _fallback_instance(np.random.default_rng(5))
     rng = project_rng(3, project.id)
-    diagnostics, front, copies = _run_pipeline(pool, project, team_size, 500, rng, None)
+    view = project_view(pool, project)
+    diagnostics, rows, _, copies = _run_pipeline(pool, project, team_size, 500, rng, view)
     assert diagnostics.used_fallback_team and diagnostics.teams_sampled == 1
-    assert [team.member_ids() for team, _ in front] == [("a-only", "b-only")]
+    assert [[view.matching[i].id for i in row] for row in rows.tolist()] == [["a-only", "b-only"]]
     assert copies.tolist() == [0]
     assert rng.bit_generator.state == project_rng(3, project.id).bit_generator.state
 
@@ -155,9 +159,10 @@ def test_mask_coverage_and_dedup_equal_the_scalar_references(instance, data):
     with patch.object(assembly, "_sample_rows", sampler):
         teams = form_random_teams(members, len(rows), team_size, 0)
         with patch.object(assembly, "row_objectives", counted_kernel):
-            diagnostics, front, copies = _run_pipeline(
+            diagnostics, front_rows, scores, copies = _run_pipeline(
                 pool, project, team_size, len(rows), None, view
             )
+    front = [Team(view.matching[i] for i in row) for row in front_rows.tolist()]
 
     wanted = len(project.requirements)
     covered = [team for team in teams if coverage(team, project) == wanted]
@@ -166,10 +171,10 @@ def test_mask_coverage_and_dedup_equal_the_scalar_references(instance, data):
     assert diagnostics.teams_sampled == len(teams)
     assert diagnostics.full_coverage_count == len(covered)
     assert diagnostics.pareto_team_count == len(kept) == len(copies)
-    assert [front[k][0] for k in copies] == [covered[i] for i in kept]
-    assert [front[k][1].as_tuple() for k in copies] == [vectors[i] for i in kept]
+    assert [front[k] for k in copies] == [covered[i] for i in kept]
+    assert [tuple(scores.tolist()[k]) for k in copies] == [vectors[i] for i in kept]
     # the kernel scores each distinct covering row once
     assert scored == Counter({team.member_ids(): 1 for team in covered})
-    assert sorted(team.member_ids() for team, _ in front) == sorted(
+    assert sorted(team.member_ids() for team in front) == sorted(
         {covered[i].member_ids() for i in kept}
     )
