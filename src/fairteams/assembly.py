@@ -112,16 +112,21 @@ class ProjectView:
     """One project's view of the pool, shared by every assembler.
 
     `matching` holds the candidates offering at least one requirement, in pool
-    order, and is empty when none does. Row i of the read-only `costs` matrix
-    is `candidate_scores(matching[i], project)`. Entry i of the read-only
-    float64 array `loads` is `matched_cost` of `matching[i]`; bit j of
-    `masks[i]` is set when it offers `project.sorted_requirements[j]`.
-    `id_ranks[i]` orders `matching[i]` by id within the pool, and
-    `class_one[i]` is whether its class is `ONE`.
+    order, and is empty when none does. Row i of `costs` is
+    `candidate_scores(matching[i], project)`; `offers` marks its finite
+    entries, `support` counts them per row and `finite_costs` is `costs` with
+    0.0 for +inf. Entry i of the float64 `loads` is `matched_cost` of
+    `matching[i]`. These five arrays are read-only, derived once for every
+    stage to read. Bit j of `masks[i]` is set when it offers
+    `project.sorted_requirements[j]`. `id_ranks[i]` orders `matching[i]` by
+    id within the pool, and `class_one[i]` is whether its class is `ONE`.
     """
 
     matching: list[Candidate]
     costs: np.ndarray
+    offers: np.ndarray
+    support: np.ndarray
+    finite_costs: np.ndarray
     loads: np.ndarray
     masks: list[int]
     id_ranks: np.ndarray
@@ -148,7 +153,7 @@ class ProjectView:
 
         The greedy methods share these lists and never change them.
         """
-        ratios = self.loads / np.isfinite(self.costs).sum(axis=1)
+        ratios = self.loads / self.support
         order = np.lexsort((self.id_ranks, self.loads, ratios))
         one = self.class_one[order]
         return {
@@ -231,14 +236,16 @@ def project_view(pool: Sequence[Candidate], project: Project) -> ProjectView:
     for j, positions, column in offered:
         costs[row_of[positions], j] = column
     offers = np.isfinite(costs)
+    finite_costs = np.where(offers, costs, 0.0)
     # column by column in requirement order, the order `matched_cost` adds in
     loads = np.zeros(len(rows))
-    for column in np.where(offers, costs, 0.0).T:
+    for column in finite_costs.T:
         loads += column
-    costs.flags.writeable = loads.flags.writeable = False
+    arrays = (costs, offers, offers.sum(axis=1), finite_costs, loads)
+    for array in arrays:
+        array.flags.writeable = False
     matching = [snapshot[i] for i in rows.tolist()]
-    masks = _bitmasks(offers)
-    return ProjectView(matching, costs, loads, masks, id_ranks[rows], class_one[rows])
+    return ProjectView(matching, *arrays, _bitmasks(offers), id_ranks[rows], class_one[rows])
 
 
 _MASK_CHUNK = 62
@@ -278,17 +285,34 @@ def _sample_rows(size: int, num_teams: int, team_size: int, rng: np.random.Gener
 
     Each draw takes the `team_size` least of `size` uniform keys. The keys
     come in blocks of `_KEY_ROWS` rows, read in order from one stream, so the
-    rows do not depend on the block size. When `size < team_size` the one
-    row is all of `range(size)`, and nothing is drawn.
+    rows do not depend on the block size. When `size < team_size` nothing
+    is drawn: the one row is all of `range(size)`, and there is none for 0.
     """
-    if size < team_size:
+    if 0 < size < team_size:
         return np.arange(size, dtype=np.intp)[None]
-    rows = np.empty((num_teams, team_size), dtype=np.intp)
-    for start in range(0, num_teams, _KEY_ROWS):
-        keys = rng.random((min(_KEY_ROWS, num_teams - start), size))
+    rows = np.empty((num_teams if size else 0, team_size), dtype=np.intp)
+    for start in range(0, len(rows), _KEY_ROWS):
+        keys = rng.random((min(_KEY_ROWS, len(rows) - start), size))
         picked = np.argpartition(keys, team_size - 1, axis=1)[:, :team_size]
         rows[start : start + len(keys)] = np.sort(picked, axis=1)
     return rows
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a C-contiguous matrix, and each row's index among them."""
+    # one opaque byte string per row: np.unique sorts these several times
+    # faster than rows compared column by column, and the order is not used
+    width = rows.shape[1]
+    distinct, draws = np.unique(rows.view((np.void, rows.itemsize * width)), return_inverse=True)
+    return distinct.view(rows.dtype).reshape(-1, width), draws.reshape(-1)
+
+
+def _covering(rows: np.ndarray, offers: np.ndarray) -> np.ndarray:
+    """Whether each row's members, as rows of `offers` OR-ed, fill every column."""
+    union = offers[rows[:, 0]]
+    for column in rows.T[1:]:
+        union |= offers[column]
+    return union.all(axis=1)
 
 
 def form_random_teams(
@@ -299,9 +323,9 @@ def form_random_teams(
 ) -> list[Team]:
     """Sample `num_teams` teams of `team_size` distinct members, uniformly.
 
-    Repeated teams across draws are allowed. If fewer candidates than
-    `team_size` are available, degrades to the single team holding everyone
-    and draws nothing. The draws are those of the multi-objective pipeline.
+    Repeated teams across draws are allowed. Fewer candidates than
+    `team_size` give the single team of everyone, and none give no team;
+    neither draws. The draws are those of the multi-objective pipeline.
     """
     if num_teams < 1:
         raise ValueError(f"num_teams must be at least 1, got {num_teams}")
@@ -322,39 +346,29 @@ def _run_pipeline(
     """Sample teams and take their front.
 
     Returns the diagnostics; the distinct teams on the team front, as rows of
-    positions into `view`, and their n x 5 objective scores; and for each
-    covering draw on the front, in draw order, the index of its team's row.
+    positions into `view`, and their n x 5 scores; and for each covering draw
+    on the front, in draw order, the index of its team's row.
+
+    The six stages, `_support_front_rows`, `_sample_rows`, `_distinct_rows`,
+    `_covering`, `row_objectives` and `_front_rows`, are read from this
+    module's globals at each call, so a tracer can replace each there. Each
+    maps zero rows to zero rows, so an empty front needs no branch.
     """
     # the candidate front; every sampled row holds positions in it
-    front_rows = _support_front_rows(view.costs)
-    if len(front_rows):
-        rows = _sample_rows(len(front_rows), num_teams, team_size, rng)
-    else:
-        rows = np.empty((0, team_size), dtype=np.intp)
-    # one opaque byte string per row: np.unique sorts these several times
-    # faster than rows compared column by column, and the order is not used
-    width = rows.shape[1]
-    distinct, draws = np.unique(rows.view((np.void, rows.itemsize * width)), return_inverse=True)
-    distinct, draws = distinct.view(rows.dtype).reshape(-1, width), draws.reshape(-1)
-    # a team covers when its members' finite costs, OR-ed, fill every column
-    offers = np.isfinite(view.costs)[front_rows]
-    union = offers[distinct[:, 0]]
-    for column in distinct.T[1:]:
-        union |= offers[column]
-    covers = union.all(axis=1)
+    front_rows = _support_front_rows(view.costs, view.support)
+    rows = _sample_rows(len(front_rows), num_teams, team_size, rng)
+    distinct, draws = _distinct_rows(rows)
+    # rows of positions into the candidate front, as positions into the view
+    on_view = front_rows[distinct]
+    covers = _covering(on_view, view.offers)
     # Copies of a team share their objectives and never dominate each other,
     # so the front is taken over the distinct covering teams; `place` holds
     # each distinct row's index on it, or -1.
+    covering = on_view[covers]
+    scores = row_objectives(covering, view)
+    kept = _front_rows(scores)
     place = np.full(len(distinct), -1)
-    team_rows, scores = np.empty((0, width), dtype=np.intp), np.empty((0, 5))
-    covering = distinct[covers]
-    if len(covering):
-        # rows of positions into the candidate front, as positions into the view
-        on_view = front_rows[covering]
-        scores = row_objectives(on_view, view)
-        kept = _front_rows(scores)
-        team_rows, scores = on_view[kept], scores[kept]
-        place[np.flatnonzero(covers)[kept]] = np.arange(len(kept))
+    place[np.flatnonzero(covers)[kept]] = np.arange(len(kept))
     copies = place[draws]
     copies = copies[copies >= 0]
     covered = int(np.count_nonzero(covers[draws]))
@@ -370,7 +384,7 @@ def _run_pipeline(
         team_reduction=1.0 - len(copies) / covered if covered else 0.0,
         used_fallback_team=0 < candidates < team_size,
     )
-    return diagnostics, team_rows, scores, copies
+    return diagnostics, covering[kept], scores[kept], copies
 
 
 def _normalized_sums(values: Sequence[Sequence[float]]) -> list[float]:

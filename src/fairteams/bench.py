@@ -230,13 +230,8 @@ def emit_report(report: RunReport, fmt: str) -> str:
         raise ValueError(f"unknown report format {fmt!r}, expected csv or table")
 
     header = ["algorithm", *OBJECTIVE_NAMES, "teams", "candidate_reduction", "team_reduction"]
-    best: list[float | None] = [None] * len(OBJECTIVE_NAMES)
-    for row in report.rows:
-        if row.means is None:
-            continue
-        for k, value in enumerate(row.means):
-            if best[k] is None or value < best[k]:
-                best[k] = value
+    formed = [row.means for row in report.rows if row.means is not None]
+    best = [min(column) for column in zip(*formed)]
 
     table: list[list[str]] = []
     for row in report.rows:

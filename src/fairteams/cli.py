@@ -168,14 +168,12 @@ def _print_outcome(project, record: OutcomeRecord) -> None:
 def _cmd_assemble(args) -> int:
     pool = load_pool(args.pool, args.attr_proportion, args.seed)
     projects = load_projects(args.projects)
-    if args.project_id is None:
-        project = projects[0]
-    else:
-        matches = [p for p in projects if p.id == args.project_id]
-        if not matches:
-            print(f"project {args.project_id!r} not found in {args.projects}", file=sys.stderr)
-            return EXIT_DATA
-        project = matches[0]
+    # without --project-id every project matches, and the first is assembled
+    matches = [p for p in projects if args.project_id in (None, p.id)]
+    if not matches:
+        print(f"project {args.project_id!r} not found in {args.projects}", file=sys.stderr)
+        return EXIT_DATA
+    project = matches[0]
 
     selection = SelectionMode(args.config) if args.method == "multi" else None
     _, (record,) = run_benchmark(
@@ -193,14 +191,11 @@ def _cmd_assemble(args) -> int:
 def _bench_targets(args) -> list[RunTarget]:
     methods = args.method or METHODS
     configs = [SelectionMode(token) for token in (args.config or _CONFIG_TOKENS)]
-    targets = []
-    for target in DEFAULT_TARGETS:
-        if target.method not in methods:
-            continue
-        if target.method == "multi" and target.selection not in configs:
-            continue
-        targets.append(target)
-    return targets
+    return [
+        target
+        for target in DEFAULT_TARGETS
+        if target.method in methods and (target.method != "multi" or target.selection in configs)
+    ]
 
 
 def _cmd_bench(args) -> int:
@@ -265,20 +260,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_synth(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        # bad knob values (team size, proportions, formats) are usage errors;
-        # file problems are data errors
-        if isinstance(exc, DataFormatError):
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except (_UsageError, ValueError) as exc:
+        # bad knob values (team size, proportions, formats) are usage errors;
+        # file problems, caught above, are data errors
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

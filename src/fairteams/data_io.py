@@ -12,7 +12,8 @@ Two interchangeable on-disk formats, picked by extension:
 
 A candidate record declares one cost; the loaded cost profile maps every
 listed skill to that declared cost. Ids and skill tokens may not contain
-``;``. The pool's total S, the sum of cost x skill count over its records,
+``;``, and saving refuses one that a reader would split, refuse or strip.
+The pool's total S, the sum of cost x skill count over its records,
 bounds every objective term of every team, and each spread's sum of squares
 is at most about S**2. A pool whose S exceeds sqrt(max float / 2) is
 rejected, so that 2 S**2 stays finite.
@@ -26,7 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -232,8 +233,18 @@ def load_projects(path: str | Path) -> list[Project]:
     return projects
 
 
-def _write_records(path: str | Path, columns: Sequence[str], rows: Iterable[tuple]) -> None:
-    """Write rows in `columns` order; the last field is the list of skills."""
+def _write_records(path: str | Path, columns: Sequence[str], rows: Sequence[tuple]) -> None:
+    """Write rows in `columns` order; the last field is the list of skills.
+
+    Before opening the file, raises `ValueError` naming the record of an id
+    or skill token the readers would not load back as saved: one holding
+    `;`, a carriage return (which `csv` leaves unquoted) or NUL (which
+    Python 3.10's `csv` refuses), or with surrounding whitespace.
+    """
+    for cid, *_, skills in rows:
+        for token in (cid, *skills):
+            if any(char in token for char in ";\r\0") or token != token.strip():
+                raise ValueError(f"record {cid!r}: {token!r} would not load back as saved")
     if _is_json(path):
         payload = [dict(zip(columns, row)) for row in rows]
         Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

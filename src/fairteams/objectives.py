@@ -153,24 +153,24 @@ def row_objectives(rows: np.ndarray, view: ProjectView) -> np.ndarray:
 
     Row i of the n x k integer matrix `rows` lists a team's members as rows
     of the project view: positions into `view.loads` (each member's
-    `matched_cost`), `view.class_one`, `view.costs` (the member's cost per
-    sorted requirement, +inf where not offered) and `view.id_ranks`, which
+    `matched_cost`), `view.class_one`, `view.finite_costs` (the member's cost
+    per sorted requirement, 0.0 where not offered) and `view.id_ranks`, which
     follows member-id order. Each row is first put in that order, the order
     of `Team`, and every sum then runs left to right along it, so row i
     equals `objective_vector` of that team bit for bit. Rows are scored
-    `_SCORE_ROWS` at a time; the result does not depend on the block size.
+    `_SCORE_ROWS` at a time; the result does not depend on the block size,
+    and zero rows give a 0 x 5 result.
 
     Raises the `ValueError` that `objective_vector` raises for the first row
     with a zero cost or an objective that is not finite, whether or not that
     row would reach the team front.
     """
-    loads, class_one, costs = view.loads, view.class_one, view.costs
+    loads, class_one, member_costs = view.loads, view.class_one, view.finite_costs
     # id ranks are distinct, so sorting (rank, position) pairs packed in one
     # integer puts each row in id order
     ordered = np.sort(view.id_ranks[rows] * len(loads) + rows, axis=1) % len(loads)
-    member_costs = np.where(np.isfinite(costs), costs, 0.0)
     count, size = rows.shape
-    width = costs.shape[1]
+    width = member_costs.shape[1]
     scores = np.empty((count, 5))
     # an overflow gives inf, as Python's float arithmetic does, and a zero
     # total gives 0/0 = nan; the check after the loop reports either one

@@ -105,10 +105,10 @@ def _front_rows(points: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(kept))
 
 
-def _support_front_rows(costs: np.ndarray) -> np.ndarray:
+def _support_front_rows(costs: np.ndarray, support: np.ndarray) -> np.ndarray:
     """`_front_rows` of a matrix whose entries are finite or +inf, split by
-    each row's support, its finite columns, as skylines over incomplete data
-    are bucketed (Khalefa, Mokbel & Levandoski, ICDE 2008).
+    each row's `support`, its count of finite columns, as skylines over
+    incomplete data are bucketed (Khalefa, Mokbel & Levandoski, ICDE 2008).
 
     A row that dominates another is finite wherever the other is. So a row
     finite only in column j is dominated exactly by a lower value in column
@@ -117,7 +117,6 @@ def _support_front_rows(costs: np.ndarray) -> np.ndarray:
     Rows of wider support can be dominated only by each other, and only
     they are swept. A row with no finite entry loses to any one-column row.
     """
-    support = np.isfinite(costs).sum(axis=1)
     single = support == 1
     if not single.any():
         return _front_rows(costs)

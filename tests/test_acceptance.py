@@ -20,25 +20,23 @@ from fairteams import (
     SynthesisSpec,
     Team,
     assemble_all_selections,
-    cost_for_class,
     coverage,
     emit_outcome_log,
     emit_report,
     filter_candidates,
     form_random_teams,
-    matched_cost,
     objective_vector,
     pareto_candidates,
     pareto_front,
     project_rng,
-    reassign_attributes,
-    requirement_costs,
     run_benchmark,
     synthesize_pool,
     synthesize_projects,
     team_cost,
 )
 from fairteams.assembly import SelectionMode
+from fairteams.data_io import reassign_attributes
+from fairteams.objectives import cost_for_class, matched_cost, requirement_costs
 
 
 @contextmanager

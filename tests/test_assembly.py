@@ -31,7 +31,6 @@ from fairteams import (
     dominates,
     filter_candidates,
     form_random_teams,
-    matched_cost,
     objective_vector,
     pareto_candidates,
     pareto_front,
@@ -42,6 +41,7 @@ from fairteams import (
 )
 from fairteams.assembly import _normalized_sums, _picks, project_view
 from fairteams.data_io import skill_universe
+from fairteams.objectives import matched_cost
 from test_pareto import oracle_front_indices
 
 INF = math.inf
@@ -174,6 +174,12 @@ def test_form_random_teams_degrades_below_team_size():
     teams = form_random_teams(pool, 50, 3, rng=1)
     assert len(teams) == 1
     assert teams[0].member_ids() == ("c0", "c1")
+
+
+def test_form_random_teams_of_no_candidates_is_no_teams():
+    rng = np.random.default_rng(4)
+    assert form_random_teams([], 50, 3, rng) == []
+    assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
 
 
 def test_form_random_teams_validates_counts():

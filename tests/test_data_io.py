@@ -6,8 +6,12 @@ import json
 import math
 import re
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairteams import (
     AttributeClass,
@@ -20,14 +24,13 @@ from fairteams import (
     assemble_incremental,
     load_pool,
     load_projects,
-    reassign_attributes,
     save_pool,
     save_projects,
     synthesize_pool,
     synthesize_projects,
 )
 from fairteams.cli import main
-from fairteams.data_io import skill_universe
+from fairteams.data_io import reassign_attributes, skill_universe
 
 POOL_CSV = """id,cost,attribute,skills
 u7,0.05,1,java;sql
@@ -358,6 +361,109 @@ def test_project_round_trip(tmp_path, name):
     path = tmp_path / name
     save_projects(projects, path)
     assert load_projects(path) == projects
+
+
+@pytest.mark.parametrize("name", ["pool.csv", "pool.json"])
+@pytest.mark.parametrize(
+    "cid, skill",
+    [
+        ("a;b", "x"),  # the log joins member ids with ';'
+        ("c1", "a;b"),  # a delimited record would reload two skills
+        (" c1", "x"),  # stripped on load, in both formats
+        ("c1 ", "x"),
+        ("c1", " a "),
+        ("c\r1", "x"),  # `csv` writes a lone carriage return unquoted
+        ("c1", "a\x00"),  # Python 3.10's `csv` refuses a NUL
+    ],
+)
+def test_save_pool_refuses_what_loading_would_change(tmp_path, name, cid, skill):
+    pool = [
+        Candidate("ok", AttributeClass.ZERO, {"x": 0.5}),
+        Candidate(cid, AttributeClass.ONE, {skill: 0.5}),
+    ]
+    path = tmp_path / name
+    with pytest.raises(ValueError, match=f"^record {re.escape(repr(cid))}: "):
+        save_pool(pool, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["projects.csv", "projects.json"])
+@pytest.mark.parametrize("pid, skill", [("p;1", "x"), ("p1", "a;b"), ("p1\t", "x"), ("p1", "\na")])
+def test_save_projects_refuses_what_loading_would_change(tmp_path, name, pid, skill):
+    path = tmp_path / name
+    with pytest.raises(ValueError, match=f"^record {re.escape(repr(pid))}: "):
+        save_projects([Project("ok", frozenset({"x"})), Project(pid, frozenset({skill}))], path)
+    assert not path.exists()
+
+
+# Any character UTF-8 can encode, with the ones the formats treat specially
+# drawn often; half the examples drop what saving refuses, so most of those
+# are saved. The loaders also refuse, loudly, a pool with a repeated id, no
+# records or costs that could overflow an objective; none is drawn here.
+_ANY_TOKENS = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from(';,"\'\r\n\x00 \t[{'),
+    min_size=1,
+    max_size=6,
+)
+_REFUSED = {ord(char): None for char in ";\r\x00"}
+_SAVED_TOKENS = _ANY_TOKENS.map(lambda token: token.translate(_REFUSED).strip() or "t")
+_COSTS = st.floats(min_value=0.0, max_value=1e100, exclude_min=True)
+
+
+def _loads_back(token):
+    return token == token.strip() and not set(token) & set(";\r\x00")
+
+
+def _skills(item):
+    return item.cost_profile if isinstance(item, Candidate) else item.requirements
+
+
+@st.composite
+def _pools(draw):
+    tokens = draw(st.sampled_from([_ANY_TOKENS, _SAVED_TOKENS]))
+    ids = draw(st.lists(tokens, min_size=1, max_size=5, unique=True))
+    return [
+        Candidate(cid, draw(st.sampled_from(AttributeClass)), dict.fromkeys(skills, draw(_COSTS)))
+        for cid in ids
+        for skills in [draw(st.lists(tokens, min_size=1, max_size=4))]
+    ]
+
+
+@st.composite
+def _projects(draw):
+    tokens = draw(st.sampled_from([_ANY_TOKENS, _SAVED_TOKENS]))
+    ids = draw(st.lists(tokens, min_size=1, max_size=4, unique=True))
+    return [Project(pid, draw(st.frozensets(tokens, min_size=1, max_size=4))) for pid in ids]
+
+
+@settings(deadline=None, max_examples=200)
+@given(pool=_pools(), projects=_projects(), suffix=st.sampled_from([".csv", ".json"]))
+@example(
+    pool=[Candidate('q,"u\no', AttributeClass.ONE, {"é x": 5e-324, "a\nb": 5e-324})],
+    projects=[Project("p 1", frozenset({"[x]", "{y}"}))],
+    suffix=".csv",
+)
+@example(
+    pool=[Candidate(" c ", AttributeClass.ZERO, {"x": 1.0})],
+    projects=[Project("p", frozenset({"a\rb"}))],
+    suffix=".csv",
+)
+def test_whatever_saving_accepts_loads_back_equal(pool, projects, suffix):
+    records = ((save_pool, load_pool, pool), (save_projects, load_projects, projects))
+    with tempfile.TemporaryDirectory() as directory:
+        for save, load, items in records:
+            path = Path(directory) / f"records{suffix}"
+            tokens = [token for item in items for token in (item.id, *_skills(item))]
+            try:
+                save(items, path)
+            except ValueError as exc:
+                assert str(exc).startswith("record ")
+                assert not path.exists()
+                assert not all(map(_loads_back, tokens))
+                continue
+            assert load(path) == items
+            assert all(map(_loads_back, tokens))
+            path.unlink()
 
 
 # -- synthesis --------------------------------------------------------------------

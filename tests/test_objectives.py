@@ -20,18 +20,21 @@ from fairteams import (
     Project,
     Team,
     cost_difference,
-    cost_for_class,
     expertise_unevenness,
-    matched_cost,
     objective_vector,
     representation_parity,
-    requirement_costs,
     team_cost,
     workload_unevenness,
 )
 from fairteams import objectives
 from fairteams.assembly import ProjectView, project_view
-from fairteams.objectives import _spread, row_objectives
+from fairteams.objectives import (
+    _spread,
+    cost_for_class,
+    matched_cost,
+    requirement_costs,
+    row_objectives,
+)
 
 # frozen targets for the three-member fixture, computed by hand:
 # loads 0.035 / 0.122 / 0.171; per-requirement totals 0.100 / 0.035 / 0.090 / 0.103;
@@ -237,11 +240,14 @@ def test_kernel_rejects_a_team_with_zero_matched_cost():
     member = Candidate("c", AttributeClass.ZERO, {"z": 1.0})
     view = ProjectView(
         [member],
-        np.full((1, 1), np.inf),
-        np.zeros(1),
-        [0],
-        np.zeros(1, dtype=np.intp),
-        np.zeros(1, dtype=bool),
+        costs=np.full((1, 1), np.inf),
+        offers=np.zeros((1, 1), dtype=bool),
+        support=np.zeros(1, dtype=np.intp),
+        finite_costs=np.zeros((1, 1)),
+        loads=np.zeros(1),
+        masks=[0],
+        id_ranks=np.zeros(1, dtype=np.intp),
+        class_one=np.zeros(1, dtype=bool),
     )
     with pytest.raises(ValueError, match="zero matched cost"):
         row_objectives(np.array([[0]]), view)

@@ -16,7 +16,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairteams import (
@@ -32,9 +32,15 @@ from fairteams import (
     project_rng,
 )
 from fairteams import assembly
-from fairteams.assembly import _run_pipeline, _sample_rows, project_view
+from fairteams.assembly import (
+    _covering,
+    _distinct_rows,
+    _run_pipeline,
+    _sample_rows,
+    project_view,
+)
 from fairteams.objectives import row_objectives
-from fairteams.pareto import _front_rows
+from fairteams.pareto import _front_rows, _support_front_rows
 from test_assembly import (
     _fallback_instance,
     _per_copy_reference,
@@ -108,6 +114,72 @@ def test_invalid_arguments_draw_no_rows():
             knobs = {"team_size": team_size, "num_teams": 50, "seed": 0, **override}
             with pytest.raises(ValueError):
                 assemble_all_selections(pool, project, **knobs)
+
+
+# -- the pipeline's six named stages --------------------------------------------
+
+_STAGES = (
+    "_support_front_rows",
+    "_sample_rows",
+    "_distinct_rows",
+    "_covering",
+    "row_objectives",
+    "_front_rows",
+)
+
+
+@pytest.mark.parametrize("name", _STAGES)
+@pytest.mark.parametrize("build", [_ring_instance, _synthetic_instance])
+def test_a_stage_replaced_in_the_assembly_module_is_the_one_the_pipeline_calls(build, name):
+    # a tracer wraps each stage through this module attribute, so the pipeline
+    # must look it up there on every call
+    pool, project, team_size = build(np.random.default_rng(23))
+    knobs = {"team_size": team_size, "num_teams": 200, "seed": 9}
+    want = assemble_all_selections(pool, project, **knobs)
+    assert all(outcome.formed for outcome in want.values())
+    stage = getattr(assembly, name)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return stage(*args)
+
+    with patch.object(assembly, name, recorded):
+        got = assemble_all_selections(pool, project, **knobs)
+    assert len(calls) == 1
+    assert got == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2), max_size=12))
+@example([[2, 3], [0, 1], [2, 3]])
+def test_distinct_rows_map_each_row_to_its_one_copy(rows):
+    rows = np.array(rows, dtype=np.intp).reshape(-1, 2)
+    distinct, draws = _distinct_rows(rows)
+    assert len({tuple(row) for row in distinct.tolist()}) == len(distinct)
+    assert np.array_equal(distinct[draws], rows)
+
+
+def test_each_stage_takes_zero_rows_to_zero_rows():
+    pool, project, team_size = _ring_instance(np.random.default_rng(3))
+    empty = project_view(pool, Project("unmet", frozenset({"nobody-offers-this"})))
+    assert len(empty.matching) == 0
+    front = _support_front_rows(empty.costs, empty.support)
+    assert front.shape == (0,) and front.dtype == np.intp
+    rng = np.random.default_rng(8)
+    rows = _sample_rows(0, 50, team_size, rng)
+    assert rows.shape == (0, team_size) and rows.dtype == np.intp
+    assert rng.bit_generator.state == np.random.default_rng(8).bit_generator.state
+    distinct, draws = _distinct_rows(rows)
+    assert distinct.shape == (0, team_size) and distinct.dtype == np.intp
+    assert draws.shape == (0,) and draws.dtype == np.intp
+    for view in (empty, project_view(pool, project)):
+        covers = _covering(rows, view.offers)
+        assert covers.shape == (0,) and covers.dtype == bool
+        scores = row_objectives(rows, view)
+        assert scores.shape == (0, 5) and scores.dtype == np.float64
+        kept = _front_rows(scores)
+        assert kept.shape == (0,) and kept.dtype == np.intp
 
 
 # -- coverage by masks and de-duplication against the scalar references --------

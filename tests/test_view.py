@@ -27,12 +27,12 @@ from fairteams import (
     assemble_incremental,
     candidate_scores,
     filter_candidates,
-    matched_cost,
     pareto_candidates,
     run_benchmark,
 )
 from fairteams import assembly
 from fairteams.assembly import project_view
+from fairteams.objectives import matched_cost
 from fairteams.pareto import _front_rows
 from test_assembly import _reference_greedy
 
@@ -73,6 +73,13 @@ def _assert_view_matches(pool, project):
     assert view.costs.shape == (len(matching), len(project.requirements))
     assert not view.costs.flags.writeable
     assert view.costs.tolist() == costs
+    # each array derived from `costs` once, here recomputed from it
+    finite = np.isfinite(view.costs)
+    assert view.offers.dtype == bool and np.array_equal(view.offers, finite)
+    assert np.array_equal(view.support, finite.sum(axis=1))
+    assert np.array_equal(view.finite_costs, np.where(finite, view.costs, 0.0))
+    for name in ("offers", "support", "finite_costs"):
+        assert not getattr(view, name).flags.writeable
     assert view.loads.dtype == np.float64 and not view.loads.flags.writeable
     assert view.loads.tolist() == loads
     assert view.load_list == loads
