@@ -61,35 +61,31 @@ def _apply(tree: Path, mutant: dict) -> None:
     path.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
 
 
-def _baseline(tests: list[str]) -> str | None:
-    """None if every test passes on an unmutated copy that imports its own
-    sources; else what went wrong."""
+def _pytest(tests: list[str], mutant: dict | None = None) -> subprocess.CompletedProcess:
+    """Run `tests` in a fresh copy of the checkout, with `mutant` applied if
+    given. Raises `ValueError` if the copy imports `fairteams` from elsewhere."""
     with tempfile.TemporaryDirectory() as directory:
         tree = Path(directory)
         _copy(tree)
         where = _run(tree, ["-c", "import fairteams; print(fairteams.__file__)"]).stdout.strip()
         if not Path(where).resolve().is_relative_to(tree.resolve()):
-            return f"the copy imports fairteams from {where}, not from its own src/"
-        result = _run(tree, ["-m", "pytest", *PYTEST, *tests])
-        if result.returncode != 0:
-            return f"the unmutated tests fail:\n{result.stdout[-3000:]}{result.stderr[-2000:]}"
-    return None
+            raise ValueError(f"the copy imports fairteams from {where!r}, not from its own src/")
+        if mutant is not None:
+            _apply(tree, mutant)
+        return _run(tree, ["-m", "pytest", *PYTEST, *tests])
 
 
-def _kill(mutant: dict) -> tuple[str, float]:
-    """('killed', seconds), ('survived', seconds) or ('fault: ...', seconds)."""
-    start = time.perf_counter()
-    with tempfile.TemporaryDirectory() as directory:
-        tree = Path(directory)
-        _copy(tree)
-        _apply(tree, mutant)
-        result = _run(tree, ["-m", "pytest", *PYTEST, *mutant["tests"]])
-    seconds = time.perf_counter() - start
+def _kill(mutant: dict) -> str:
+    """'killed', 'survived' or 'fault: ...'."""
+    try:
+        result = _pytest(mutant["tests"], mutant)
+    except ValueError as exc:
+        return f"fault: {exc}"
     if result.returncode == 1:
-        return "killed", seconds
+        return "killed"
     if result.returncode == 0:
-        return "survived", seconds
-    return f"fault: pytest exit status {result.returncode}\n{result.stdout[-2000:]}", seconds
+        return "survived"
+    return f"fault: pytest exit status {result.returncode}\n{result.stdout[-2000:]}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -104,19 +100,18 @@ def main(argv: list[str] | None = None) -> int:
         mutants = [mutant for mutant in mutants if mutant["name"] in args.names]
 
     start = time.perf_counter()
-    problem = _baseline(sorted({test for mutant in mutants for test in mutant["tests"]}))
-    if problem:
-        print(problem)
+    baseline = _pytest(sorted({test for mutant in mutants for test in mutant["tests"]}))
+    if baseline.returncode != 0:
+        print(f"the unmutated tests fail:\n{baseline.stdout[-3000:]}{baseline.stderr[-2000:]}")
         return 1
     print(f"baseline: every named test passes unmutated ({time.perf_counter() - start:.1f} s)")
     failed = 0
     for mutant in mutants:
-        try:
-            verdict, seconds = _kill(mutant)
-        except ValueError as exc:
-            verdict, seconds = f"fault: {exc}", 0.0
+        begin = time.perf_counter()
+        verdict = _kill(mutant)
+        seconds = time.perf_counter() - begin
         failed += verdict != "killed"
-        print(f"{verdict.splitlines()[0]:<9} {seconds:6.1f} s  {mutant['name']}", flush=True)
+        print(f"{verdict.split(':')[0]:<9} {seconds:6.1f} s  {mutant['name']}", flush=True)
         if verdict.startswith("fault"):
             print(verdict)
     total = time.perf_counter() - start
