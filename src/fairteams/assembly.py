@@ -337,7 +337,6 @@ def form_random_teams(
 
 def _run_pipeline(
     pool: Sequence[Candidate],
-    project: Project,
     team_size: int,
     num_teams: int,
     rng: np.random.Generator,
@@ -455,7 +454,7 @@ def assemble_all_selections(
     if view is None:
         view = project_view(pool, project)
     rng = project_rng(seed, project.id)
-    diagnostics, rows, scores, copies = _run_pipeline(pool, project, team_size, num_teams, rng, view)
+    diagnostics, rows, scores, copies = _run_pipeline(pool, team_size, num_teams, rng, view)
     if not len(rows):
         return dict.fromkeys(SelectionMode, AssemblyOutcome(None, None, diagnostics))
     values = scores.tolist()

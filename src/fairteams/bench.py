@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .assembly import (
     project_view,
 )
 from .model import OBJECTIVE_NAMES, Candidate, Project
+from .objectives import _spread
 
 METHODS = ("multi", "incremental", "fair-alloc")
 
@@ -132,44 +132,37 @@ def _run_one(project: Project) -> list[OutcomeRecord]:
     return _evaluate_project(pool, project, targets, team_size, num_teams, seed)
 
 
+def _by_target(records: Sequence[OutcomeRecord]) -> dict[tuple, list[OutcomeRecord]]:
+    """Records grouped on their target's fields (a frozen dataclass hashes through
+    a Python function), each group sorted stably by project id."""
+    groups: dict[tuple, list[OutcomeRecord]] = {}
+    for record in records:
+        groups.setdefault((record.target.method, record.target.selection), []).append(record)
+    for group in groups.values():
+        group.sort(key=lambda r: r.project_id)
+    return groups
+
+
 def aggregate_records(
     records: Sequence[OutcomeRecord], targets: Sequence[RunTarget], project_count: int
 ) -> RunReport:
     """Ordered reduction: per target, stats over outcomes sorted by project id."""
-    # keyed by fields: a frozen dataclass hashes through a Python function
-    groups: dict[tuple[str, SelectionMode | None], list[OutcomeRecord]] = {}
-    for record in records:
-        groups.setdefault((record.target.method, record.target.selection), []).append(record)
+    groups = _by_target(records)
     rows = []
     for target in targets:
-        mine = sorted(groups.get((target.method, target.selection), ()), key=lambda r: r.project_id)
+        mine = groups.get((target.method, target.selection), ())
         formed = [r.outcome.objectives.as_tuple() for r in mine if r.outcome.formed]
         means = stds = None
         if formed:
-            means = tuple([sum(column) / len(formed) for column in zip(*formed)])
-            # `_spread` of all five objectives in one pass: `d * d`, added left to right
-            m0, m1, m2, m3, m4 = means
-            s0 = s1 = s2 = s3 = s4 = 0.0
-            for v0, v1, v2, v3, v4 in formed:
-                d0, d1, d2, d3, d4 = v0 - m0, v1 - m1, v2 - m2, v3 - m3, v4 - m4
-                s0, s1, s2 = s0 + d0 * d0, s1 + d1 * d1, s2 + d2 * d2
-                s3, s4 = s3 + d3 * d3, s4 + d4 * d4
-            stds = tuple([math.sqrt(s / len(formed)) for s in (s0, s1, s2, s3, s4)])
+            columns = [(column, sum(column)) for column in zip(*formed)]
+            means = tuple([total / len(formed) for _, total in columns])
+            stds = tuple([_spread(column, total) for column, total in columns])
         if target.method == "multi" and mine:
             cand_mean = sum([r.outcome.diagnostics.candidate_reduction for r in mine]) / len(mine)
             team_mean = sum([r.outcome.diagnostics.team_reduction for r in mine]) / len(mine)
         else:
             cand_mean = team_mean = None
-        rows.append(
-            RowAggregate(
-                label=target.label,
-                formed=len(formed),
-                means=means,
-                stds=stds,
-                mean_candidate_reduction=cand_mean,
-                mean_team_reduction=team_mean,
-            )
-        )
+        rows.append(RowAggregate(target.label, len(formed), means, stds, cand_mean, team_mean))
     return RunReport(project_count=project_count, rows=tuple(rows))
 
 
@@ -294,19 +287,12 @@ def emit_outcome_log(records: Sequence[OutcomeRecord]) -> str:
     """
     # `writerow` returns what its file's `write` returns: here the row's text
     line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-    groups: dict[str, list[OutcomeRecord]] = {}
-    by_target: dict[int, list[OutcomeRecord]] = {}
-    for record in records:
-        if id(record.target) not in by_target:
-            by_target[id(record.target)] = groups.setdefault(record.target.label, [])
-        by_target[id(record.target)].append(record)
+    groups = sorted(_by_target(records).values(), key=lambda group: group[0].target.label)
     ids: dict[str, str] = {}
     tails: dict[int, str] = {}
     out = io.StringIO()
     out.write(line(_LOG_HEADER))
-    for label in sorted(groups):
-        # `sorted` is stable: equal ids keep their input order, as under a (label, id) sort
-        mine = sorted(groups[label], key=lambda r: r.project_id)
+    for mine in groups:
         target = mine[0].target
         target_cells = line([target.method, getattr(target.selection, "value", "")])[:-1]
         for record in mine:

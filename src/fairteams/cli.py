@@ -63,10 +63,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fairteams", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, needs_projects=True):
+    def add_io(p):
         p.add_argument("--pool", required=True, help="candidate pool file (csv or json)")
-        if needs_projects:
-            p.add_argument("--projects", required=True, help="project corpus file (csv or json)")
+        p.add_argument("--projects", required=True, help="project corpus file (csv or json)")
         p.add_argument(
             "--attr-proportion",
             type=float,

@@ -12,11 +12,12 @@ Two interchangeable on-disk formats, picked by extension:
 
 A candidate record declares one cost; the loaded cost profile maps every
 listed skill to that declared cost. Ids and skill tokens may not contain
-``;``, and saving refuses one that a reader would split, refuse or strip.
-The pool's total S, the sum of cost x skill count over its records,
-bounds every objective term of every team, and each spread's sum of squares
-is at most about S**2. A pool whose S exceeds sqrt(max float / 2) is
-rejected, so that 2 S**2 stays finite.
+``;``. Saving refuses, before it opens the file, what loading would refuse
+or change: no records, a repeated id, a pool past the bound below, or a
+token a reader would split, refuse or strip. The pool's total S, the sum
+of cost x skill count over its records, bounds every objective term of
+every team, and each spread's sum of squares is at most about S**2. A pool
+whose S exceeds sqrt(max float / 2) is rejected, so that 2 S**2 stays finite.
 """
 
 from __future__ import annotations
@@ -236,12 +237,19 @@ def load_projects(path: str | Path) -> list[Project]:
 def _write_records(path: str | Path, columns: Sequence[str], rows: Sequence[tuple]) -> None:
     """Write rows in `columns` order; the last field is the list of skills.
 
-    Before opening the file, raises `ValueError` naming the record of an id
-    or skill token the readers would not load back as saved: one holding
-    `;`, a carriage return (which `csv` leaves unquoted) or NUL (which
-    Python 3.10's `csv` refuses), or with surrounding whitespace.
+    Before opening the file, raises `ValueError` for no rows, or naming the
+    record of a repeated id or of an id or skill token the readers would not
+    load back as saved: one holding `;`, a carriage return (which `csv`
+    leaves unquoted) or NUL (which Python 3.10's `csv` refuses), or with
+    surrounding whitespace.
     """
+    if not rows:
+        raise ValueError("no records to save; loading refuses an empty file")
+    seen: set[str] = set()
     for cid, *_, skills in rows:
+        if cid in seen:
+            raise ValueError(f"record {cid!r}: repeated id")
+        seen.add(cid)
         for token in (cid, *skills):
             if any(char in token for char in ";\r\0") or token != token.strip():
                 raise ValueError(f"record {cid!r}: {token!r} would not load back as saved")
@@ -260,15 +268,21 @@ def save_pool(candidates: Sequence[Candidate], path: str | Path) -> None:
 
     The file formats hold one declared cost per candidate, so a profile with
     more than one distinct cost raises `ValueError` instead of losing costs.
+    So does a pool whose cost total loading would refuse.
     """
     rows = []
+    total = 0.0
     for c in candidates:
         costs = set(c.cost_profile.values())
         if len(costs) > 1:
             raise ValueError(
                 f"candidate {c.id!r} has per-skill costs; pool files hold one cost per candidate"
             )
-        rows.append((c.id, costs.pop(), c.attribute.value, sorted(c.cost_profile)))
+        cost = costs.pop()
+        total += cost * len(c.cost_profile)
+        if total > _MAX_POOL_TOTAL:
+            raise ValueError(f"record {c.id!r}: the pool's cost total passes {_MAX_POOL_TOTAL:.4g}")
+        rows.append((c.id, cost, c.attribute.value, sorted(c.cost_profile)))
     _write_records(path, _POOL_COLUMNS, rows)
 
 

@@ -30,7 +30,7 @@ from fairteams import (
     synthesize_projects,
 )
 from fairteams.cli import main
-from fairteams.data_io import reassign_attributes, skill_universe
+from fairteams.data_io import _MAX_POOL_TOTAL, reassign_attributes, skill_universe
 
 POOL_CSV = """id,cost,attribute,skills
 u7,0.05,1,java;sql
@@ -398,8 +398,7 @@ def test_save_projects_refuses_what_loading_would_change(tmp_path, name, pid, sk
 
 # Any character UTF-8 can encode, with the ones the formats treat specially
 # drawn often; half the examples drop what saving refuses, so most of those
-# are saved. The loaders also refuse, loudly, a pool with a repeated id, no
-# records or costs that could overflow an objective; none is drawn here.
+# are saved. Pools and corpora may also be empty or repeat an id.
 _ANY_TOKENS = st.text(
     st.characters(blacklist_categories=("Cs",)) | st.sampled_from(';,"\'\r\n\x00 \t[{'),
     min_size=1,
@@ -407,7 +406,8 @@ _ANY_TOKENS = st.text(
 )
 _REFUSED = {ord(char): None for char in ";\r\x00"}
 _SAVED_TOKENS = _ANY_TOKENS.map(lambda token: token.translate(_REFUSED).strip() or "t")
-_COSTS = st.floats(min_value=0.0, max_value=1e100, exclude_min=True)
+# half the pools may draw costs past the bound, the other half stay far below it
+_COSTS = [st.floats(min_value=0.0, max_value=high, exclude_min=True) for high in (1e100, 1e160)]
 
 
 def _loads_back(token):
@@ -418,13 +418,25 @@ def _skills(item):
     return item.cost_profile if isinstance(item, Candidate) else item.requirements
 
 
+def _refused(items):
+    """Whether loading would refuse or change `items` once saved."""
+    ids = [item.id for item in items]
+    tokens = [token for item in items for token in (item.id, *_skills(item))]
+    total = 0.0
+    for item in items:
+        if isinstance(item, Candidate):
+            total += max(item.cost_profile.values()) * len(item.cost_profile)
+    repeated = len(set(ids)) < len(ids)
+    return not items or repeated or total > _MAX_POOL_TOTAL or not all(map(_loads_back, tokens))
+
+
 @st.composite
 def _pools(draw):
     tokens = draw(st.sampled_from([_ANY_TOKENS, _SAVED_TOKENS]))
-    ids = draw(st.lists(tokens, min_size=1, max_size=5, unique=True))
+    costs = draw(st.sampled_from(_COSTS))
     return [
-        Candidate(cid, draw(st.sampled_from(AttributeClass)), dict.fromkeys(skills, draw(_COSTS)))
-        for cid in ids
+        Candidate(cid, draw(st.sampled_from(AttributeClass)), dict.fromkeys(skills, draw(costs)))
+        for cid in draw(st.lists(tokens, max_size=5))
         for skills in [draw(st.lists(tokens, min_size=1, max_size=4))]
     ]
 
@@ -432,8 +444,12 @@ def _pools(draw):
 @st.composite
 def _projects(draw):
     tokens = draw(st.sampled_from([_ANY_TOKENS, _SAVED_TOKENS]))
-    ids = draw(st.lists(tokens, min_size=1, max_size=4, unique=True))
+    ids = draw(st.lists(tokens, max_size=4))
     return [Project(pid, draw(st.frozensets(tokens, min_size=1, max_size=4))) for pid in ids]
+
+
+_POOL = [Candidate("c", AttributeClass.ZERO, {"x": 1.0})]
+_PROJECTS = [Project("p", frozenset({"x"}))]
 
 
 @settings(deadline=None, max_examples=200)
@@ -448,21 +464,40 @@ def _projects(draw):
     projects=[Project("p", frozenset({"a\rb"}))],
     suffix=".csv",
 )
+@example(pool=[], projects=_PROJECTS, suffix=".csv")
+@example(pool=_POOL, projects=[], suffix=".json")
+@example(
+    pool=_POOL + [Candidate("c", AttributeClass.ONE, {"y": 1.0})], projects=_PROJECTS, suffix=".csv"
+)
+@example(pool=_POOL, projects=_PROJECTS + [Project("p", frozenset({"y"}))], suffix=".json")
+# past the bound on S, about 9.5e153: one cost, a cost times two skills, two costs
+@example(
+    pool=[Candidate("c", AttributeClass.ZERO, {"x": 1e160})], projects=_PROJECTS, suffix=".csv"
+)
+@example(
+    pool=[Candidate("c", AttributeClass.ZERO, dict.fromkeys("xy", 5e153))],
+    projects=_PROJECTS,
+    suffix=".json",
+)
+@example(
+    pool=[Candidate(cid, AttributeClass.ZERO, {"x": 5e153}) for cid in "cd"],
+    projects=_PROJECTS,
+    suffix=".csv",
+)
 def test_whatever_saving_accepts_loads_back_equal(pool, projects, suffix):
     records = ((save_pool, load_pool, pool), (save_projects, load_projects, projects))
     with tempfile.TemporaryDirectory() as directory:
         for save, load, items in records:
             path = Path(directory) / f"records{suffix}"
-            tokens = [token for item in items for token in (item.id, *_skills(item))]
             try:
                 save(items, path)
             except ValueError as exc:
-                assert str(exc).startswith("record ")
+                assert str(exc).startswith("record ") or not items
                 assert not path.exists()
-                assert not all(map(_loads_back, tokens))
+                assert _refused(items)
                 continue
+            assert not _refused(items)
             assert load(path) == items
-            assert all(map(_loads_back, tokens))
             path.unlink()
 
 

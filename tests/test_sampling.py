@@ -88,7 +88,7 @@ def test_pipeline_counts_equal_the_per_copy_reference_across_key_blocks(build, b
         view = project_view(pool, project)
         with patch.object(assembly, "_KEY_ROWS", block):
             got, rows, scores, copies = _run_pipeline(
-                pool, project, team_size, num_teams, project_rng(seed, project.id), view
+                pool, team_size, num_teams, project_rng(seed, project.id), view
             )
         assert got == want
         assert len(copies) == want.pareto_team_count
@@ -99,7 +99,7 @@ def test_a_fallback_front_draws_nothing():
     pool, project, team_size = _fallback_instance(np.random.default_rng(5))
     rng = project_rng(3, project.id)
     view = project_view(pool, project)
-    diagnostics, rows, _, copies = _run_pipeline(pool, project, team_size, 500, rng, view)
+    diagnostics, rows, _, copies = _run_pipeline(pool, team_size, 500, rng, view)
     assert diagnostics.used_fallback_team and diagnostics.teams_sampled == 1
     assert [[view.matching[i].id for i in row] for row in rows.tolist()] == [["a-only", "b-only"]]
     assert copies.tolist() == [0]
@@ -232,7 +232,7 @@ def test_mask_coverage_and_dedup_equal_the_scalar_references(instance, data):
         teams = form_random_teams(members, len(rows), team_size, 0)
         with patch.object(assembly, "row_objectives", counted_kernel):
             diagnostics, front_rows, scores, copies = _run_pipeline(
-                pool, project, team_size, len(rows), None, view
+                pool, team_size, len(rows), None, view
             )
     front = [Team(view.matching[i] for i in row) for row in front_rows.tolist()]
 
