@@ -55,7 +55,7 @@ _OBJECTIVE_AXIS = {
 _MAX_SEED = 2**64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssemblyDiagnostics:
     """Counts and reduction fractions observed along the pipeline.
 
@@ -75,7 +75,7 @@ class AssemblyDiagnostics:
     used_fallback_team: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssemblyOutcome:
     """Result of one assembly attempt: the team (if any) plus diagnostics."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
@@ -59,7 +58,7 @@ DEFAULT_TARGETS: tuple[RunTarget, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutcomeRecord:
     """One (project, target) evaluation, kept raw for the audit log."""
 
@@ -196,6 +195,9 @@ def run_benchmark(
             for project in projects
         ]
     else:
+        # imported here: `multiprocessing` costs a serial run ~2 MB of RSS
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
@@ -281,20 +283,19 @@ def emit_outcome_log(records: Sequence[OutcomeRecord]) -> str:
     """Raw audit log, one row per (project, target), full float precision.
 
     Rows are sorted by target label, then project id. Each target's cells,
-    each project id and each outcome's cells are formatted once per call,
-    then joined with commas: `csv.writer` quotes field by field, so the rows
-    are those it writes one record at a time.
+    each project id and each outcome's cells are formatted once per call;
+    the log is one join of those shared pieces. `csv.writer` quotes field
+    by field, so the rows are those it writes one record at a time.
     """
     # `writerow` returns what its file's `write` returns: here the row's text
     line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     groups = sorted(_by_target(records).values(), key=lambda group: group[0].target.label)
     ids: dict[str, str] = {}
     tails: dict[int, str] = {}
-    out = io.StringIO()
-    out.write(line(_LOG_HEADER))
+    parts = [line(_LOG_HEADER)]
     for mine in groups:
         target = mine[0].target
-        target_cells = line([target.method, getattr(target.selection, "value", "")])[:-1]
+        target_cells = f",{line([target.method, getattr(target.selection, 'value', '')])[:-1]},"
         for record in mine:
             pid, outcome = record.project_id, record.outcome
             if pid not in ids:
@@ -318,5 +319,5 @@ def emit_outcome_log(records: Sequence[OutcomeRecord]) -> str:
                     + [repr(diag.candidate_reduction), repr(diag.team_reduction)]
                     + [int(diag.used_fallback_team)]
                 )
-            out.write(f"{ids[pid]},{target_cells},{tails[id(outcome)]}")
-    return out.getvalue()
+            parts += (ids[pid], target_cells, tails[id(outcome)])
+    return "".join(parts)

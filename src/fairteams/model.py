@@ -101,7 +101,7 @@ class Project:
         object.__setattr__(self, "sorted_requirements", tuple(sorted(requirements)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Team:
     """A duplicate-free group of candidates, kept sorted by candidate id.
 
@@ -133,7 +133,7 @@ class Team:
         return tuple(member.id for member in self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectiveVector:
     """The five minimized objectives of a formed team, in canonical order."""
 

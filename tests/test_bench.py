@@ -5,7 +5,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
+import pickle
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairteams
 from fairteams import (
     DEFAULT_TARGETS,
     AssemblyDiagnostics,
@@ -346,7 +351,7 @@ def test_jobs_capped_to_one_project_runs_serially(corpus, monkeypatch):
     def no_processes(*args, **kwargs):
         raise AssertionError("a single project must not start worker processes")
 
-    monkeypatch.setattr("fairteams.bench.ProcessPoolExecutor", no_processes)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_processes)
     pool, projects = corpus
     capped = run_benchmark(
         pool, projects[:1], team_size=3, num_teams=80, seed=9, jobs=10**9
@@ -365,7 +370,7 @@ def test_jobs_capped_to_projects_and_cpus(corpus, monkeypatch, jobs, cpus, worke
         return _InProcessExecutor(**kwargs)
 
     monkeypatch.setattr("fairteams.bench._WORKER_ARGS", None)
-    monkeypatch.setattr("fairteams.bench.ProcessPoolExecutor", executor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", executor)
     monkeypatch.setattr("fairteams.bench.os.cpu_count", lambda: cpus)
     assert _run(corpus, jobs=jobs) == _run(corpus)
     assert started == ([workers] if workers else [])
@@ -379,6 +384,31 @@ def test_one_job_never_asks_for_the_cpu_count(corpus, monkeypatch):
     pool, projects = corpus
     run_benchmark(pool, projects, team_size=3, num_teams=80, seed=9, jobs=1)
     run_benchmark(pool, projects[:1], team_size=3, num_teams=80, seed=9, jobs=4)
+
+
+# -- what a run keeps alive ---------------------------------------------------
+
+
+def test_kept_result_types_have_no_instance_dict_and_pickle_back_equal(corpus):
+    pool, projects = corpus
+    _, records = run_benchmark(pool, projects[:1], team_size=3, num_teams=80, seed=9)
+    outcome = next(record.outcome for record in records if record.outcome.formed)
+    kept = [records[0], outcome, outcome.diagnostics, outcome.team, outcome.objectives]
+    kinds = [OutcomeRecord, AssemblyOutcome, AssemblyDiagnostics, Team, ObjectiveVector]
+    assert [type(value) for value in kept] == kinds
+    assert [type(value).__name__ for value in kept if hasattr(value, "__dict__")] == []
+    assert pickle.loads(pickle.dumps(records)) == records
+
+
+def test_importing_the_cli_loads_no_worker_process_modules():
+    src = Path(fairteams.__file__).resolve().parent.parent
+    code = (
+        "import sys, fairteams.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
 
 
 # -- the log and the aggregate against per-record references ------------------

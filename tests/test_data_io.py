@@ -398,7 +398,8 @@ def test_save_projects_refuses_what_loading_would_change(tmp_path, name, pid, sk
 
 # Any character UTF-8 can encode, with the ones the formats treat specially
 # drawn often; half the examples drop what saving refuses, so most of those
-# are saved. Pools and corpora may also be empty or repeat an id.
+# are saved. Pools and corpora may repeat an id; the empty pool and the empty
+# corpus are explicit examples, so every drawn one has a record to save.
 _ANY_TOKENS = st.text(
     st.characters(blacklist_categories=("Cs",)) | st.sampled_from(';,"\'\r\n\x00 \t[{'),
     min_size=1,
@@ -436,7 +437,7 @@ def _pools(draw):
     costs = draw(st.sampled_from(_COSTS))
     return [
         Candidate(cid, draw(st.sampled_from(AttributeClass)), dict.fromkeys(skills, draw(costs)))
-        for cid in draw(st.lists(tokens, max_size=5))
+        for cid in draw(st.lists(tokens, min_size=1, max_size=5))
         for skills in [draw(st.lists(tokens, min_size=1, max_size=4))]
     ]
 
@@ -444,7 +445,7 @@ def _pools(draw):
 @st.composite
 def _projects(draw):
     tokens = draw(st.sampled_from([_ANY_TOKENS, _SAVED_TOKENS]))
-    ids = draw(st.lists(tokens, max_size=4))
+    ids = draw(st.lists(tokens, min_size=1, max_size=4))
     return [Project(pid, draw(st.frozensets(tokens, min_size=1, max_size=4))) for pid in ids]
 
 
