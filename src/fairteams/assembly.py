@@ -112,17 +112,18 @@ class ProjectView:
     """One project's view of the pool, shared by every assembler.
 
     `matching` holds the candidates offering at least one requirement, in pool
-    order, and is empty when none does. Row i of `costs` is
-    `candidate_scores(matching[i], project)`; `offers` marks its finite
-    entries, `support` counts them per row and `finite_costs` is `costs` with
-    0.0 for +inf. Entry i of the float64 `loads` is `matched_cost` of
-    `matching[i]`. These five arrays are read-only, derived once for every
-    stage to read. Bit j of `masks[i]` is set when it offers
+    order, and is empty when none does; `pool_size` counts the whole pool.
+    Row i of `costs` is `candidate_scores(matching[i], project)`; `offers`
+    marks its finite entries, `support` counts them per row and
+    `finite_costs` is `costs` with 0.0 for +inf. Entry i of the float64
+    `loads` is `matched_cost` of `matching[i]`. These five arrays are
+    read-only, derived once for every stage to read. Bit j of `masks[i]` is set when it offers
     `project.sorted_requirements[j]`. `id_ranks[i]` orders `matching[i]` by
     id within the pool, and `class_one[i]` is whether its class is `ONE`.
     """
 
     matching: list[Candidate]
+    pool_size: int
     costs: np.ndarray
     offers: np.ndarray
     support: np.ndarray
@@ -136,7 +137,8 @@ class ProjectView:
         if not isinstance(other, ProjectView):
             return NotImplemented
         arrays = ("costs", "loads", "id_ranks", "class_one")
-        return (self.matching, self.masks) == (other.matching, other.masks) and all(
+        plain = (self.matching, self.pool_size, self.masks)
+        return plain == (other.matching, other.pool_size, other.masks) and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays
         )
 
@@ -144,6 +146,11 @@ class ProjectView:
     def load_list(self) -> list[float]:
         """`loads` as Python floats, for the greedy methods' scalar keys."""
         return self.loads.tolist()
+
+    @cached_property
+    def greedy_diagnostics(self) -> AssemblyDiagnostics:
+        """The diagnostics both greedy baselines report: the pool and filtered sizes."""
+        return AssemblyDiagnostics(self.pool_size, len(self.matching))
 
     @cached_property
     def greedy_order(self) -> dict[AttributeClass | None, list[int]]:
@@ -245,7 +252,8 @@ def project_view(pool: Sequence[Candidate], project: Project) -> ProjectView:
     for array in arrays:
         array.flags.writeable = False
     matching = [snapshot[i] for i in rows.tolist()]
-    return ProjectView(matching, *arrays, _bitmasks(offers), id_ranks[rows], class_one[rows])
+    masks = _bitmasks(offers)
+    return ProjectView(matching, len(snapshot), *arrays, masks, id_ranks[rows], class_one[rows])
 
 
 _MASK_CHUNK = 62
@@ -516,7 +524,7 @@ def _greedy_assemble(
         raise ValueError("candidate pool is empty")
     if view is None:
         view = project_view(pool, project)
-    diagnostics = AssemblyDiagnostics(len(pool), len(view.matching))
+    diagnostics = view.greedy_diagnostics
 
     queues = {group: _LazyQueue(view, rows) for group, rows in view.greedy_order.items()}
     chosen: list[Candidate] = []

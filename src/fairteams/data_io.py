@@ -28,7 +28,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -46,7 +46,12 @@ class DataFormatError(ValueError):
     """A pool or project file failed to parse or validate."""
 
 
-def _fail(path: str | Path, where: str, message: str) -> None:
+def _fail(path: str | Path, where: str | tuple[str, int], message: str) -> NoReturn:
+    """Raise the error naming `path` and `where`: `file`, or a (unit, number)
+    pair formatted here as `line N` or `record N`, so that records that load
+    cleanly never pay for the text."""
+    if isinstance(where, tuple):
+        where = "%s %d" % where
     raise DataFormatError(f"{path}: {where}: {message}")
 
 
@@ -58,20 +63,26 @@ def _round_half_up(value: float) -> int:
     return int(math.floor(value + 0.5))
 
 
-def _read_records(path: str | Path, columns: Sequence[str]) -> list[tuple[str, list]]:
-    """Return (location, fields) per record; `columns` run from id to skills.
+def _read_records(path: str | Path, columns: Sequence[str]) -> tuple[str, list[tuple[int, list]]]:
+    """Return the unit, `line` or `record`, and (number, fields) per record;
+    `columns` run from id to skills.
 
-    The location, `line N` or `record N`, is what error messages name. Fields
-    are strings in `columns` order: the id stripped, the skills a list of
-    non-empty stripped tokens, the rest as read. Blank lines are skipped. A
-    `;` inside an id or a skill token is rejected: `;` joins the skills of a
-    delimited record and the member ids in the outcome log. Bytes that are
-    not UTF-8, a record the `csv` module cannot read and JSON nested too
-    deeply to parse are data errors too.
+    Each record carries its line or record number; error messages name it as
+    `line N` or `record N`. Fields are strings in `columns` order: the id
+    stripped, the skills a list of non-empty stripped tokens, the rest as
+    read. The records share one string per distinct skill token; the map
+    that shares them is local to the call, so no token outlives the records
+    that name it, as one passed to `sys.intern` would. Blank lines are
+    skipped. A `;` inside an id or a skill token is rejected: `;` joins the
+    skills of a delimited record and the member ids in the outcome log.
+    Bytes that are not UTF-8, a record the `csv` module cannot read and JSON
+    nested too deeply to parse are data errors too.
     """
+    shared: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             if _is_json(path):
+                unit = "record"
                 try:
                     data = json.load(handle)
                 except json.JSONDecodeError as exc:
@@ -82,7 +93,7 @@ def _read_records(path: str | Path, columns: Sequence[str]) -> list[tuple[str, l
                     _fail(path, "file", "expected a JSON array of records")
                 rows = []
                 for index, record in enumerate(data, start=1):
-                    where = f"record {index}"
+                    where = (unit, index)
                     if not isinstance(record, dict):
                         _fail(path, where, "expected an object")
                     missing = set(columns) - record.keys()
@@ -98,8 +109,9 @@ def _read_records(path: str | Path, columns: Sequence[str]) -> list[tuple[str, l
                     tokens = [str(token) for token in record["skills"]]
                     if any(";" in token for token in tokens):
                         _fail(path, where, "';' is not allowed inside a skill token")
-                    rows.append((where, [str(value) for _, value in named] + [";".join(tokens)]))
+                    rows.append((index, [str(value) for _, value in named] + [";".join(tokens)]))
             else:
+                unit = "line"
                 reader = csv.reader(handle)
                 header = next(reader, None)
                 if header is None:
@@ -107,24 +119,28 @@ def _read_records(path: str | Path, columns: Sequence[str]) -> list[tuple[str, l
                 if [column.strip() for column in header] != list(columns):
                     _fail(path, "line 1", f"expected header {','.join(columns)}")
                 rows = (
-                    (f"line {line}", row)
+                    (line, row)
                     for line, row in enumerate(reader, start=2)
                     if row and (len(row) > 1 or row[0].strip())
                 )
             records = []
-            for where, row in rows:
+            for number, row in rows:
                 if len(row) != len(columns):
-                    _fail(path, where, f"expected {len(columns)} fields, got {len(row)}")
+                    _fail(path, (unit, number), f"expected {len(columns)} fields, got {len(row)}")
                 row[0] = row[0].strip()
                 if ";" in row[0]:
-                    _fail(path, where, "';' is not allowed inside an id")
-                row[-1] = [token for token in map(str.strip, row[-1].split(";")) if token]
-                records.append((where, row))
+                    _fail(path, (unit, number), "';' is not allowed inside an id")
+                row[-1] = [
+                    shared.setdefault(token, token)
+                    for token in map(str.strip, row[-1].split(";"))
+                    if token
+                ]
+                records.append((number, row))
     except UnicodeDecodeError as exc:
         _fail(path, "file", f"not valid UTF-8 ({exc.reason})")
     except csv.Error as exc:
         _fail(path, f"line {reader.line_num}", f"unreadable CSV record: {exc}")
-    return records
+    return unit, records
 
 
 def load_pool(
@@ -138,7 +154,7 @@ def load_pool(
     exactly round(share * n) candidates, picked by seeded shuffle, get class
     zero.
     """
-    records = _read_records(path, _POOL_COLUMNS)
+    unit, records = _read_records(path, _POOL_COLUMNS)
     # the positions need only the record count; for a bad share they are None,
     # and the share is reported after the file's own errors
     zeros = None
@@ -147,27 +163,27 @@ def load_pool(
     candidates: list[Candidate] = []
     seen: set[str] = set()
     total = 0.0
-    for i, (where, (cid, raw_cost, attr_token, skills)) in enumerate(records):
+    for i, (number, (cid, raw_cost, attr_token, skills)) in enumerate(records):
         attr_token = attr_token.strip()
         if not cid:
-            _fail(path, where, "candidate id must be non-empty")
+            _fail(path, (unit, number), "candidate id must be non-empty")
         if cid in seen:
-            _fail(path, where, f"duplicate candidate id {cid!r}")
+            _fail(path, (unit, number), f"duplicate candidate id {cid!r}")
         try:
             cost = float(raw_cost)
         except ValueError:
-            _fail(path, where, f"cost {raw_cost!r} is not a number")
+            _fail(path, (unit, number), f"cost {raw_cost!r} is not a number")
         if not math.isfinite(cost) or cost <= 0.0:
-            _fail(path, where, f"cost must be a finite positive number, got {cost!r}")
+            _fail(path, (unit, number), f"cost must be a finite positive number, got {cost!r}")
         if attr_token not in _ATTRIBUTE_TOKENS:
-            _fail(path, where, f"unknown attribute token {attr_token!r}, expected 0 or 1")
+            _fail(path, (unit, number), f"unknown attribute token {attr_token!r}, expected 0 or 1")
         if not skills:
-            _fail(path, where, "skill list must be non-empty")
+            _fail(path, (unit, number), "skill list must be non-empty")
         total += cost * len(skills)
         if total > _MAX_POOL_TOTAL:
             _fail(
                 path,
-                where,
+                (unit, number),
                 f"cost x skill count summed over the pool so far is {total!r}, above"
                 f" {_MAX_POOL_TOTAL:.4g}; team objectives could overflow",
             )
@@ -175,7 +191,7 @@ def load_pool(
         attribute = _ATTRIBUTE_TOKENS[attr_token]
         if zeros is not None:
             attribute = AttributeClass.ZERO if i in zeros else AttributeClass.ONE
-        candidates.append(Candidate(cid, attribute, {skill: cost for skill in skills}))
+        candidates.append(Candidate(cid, attribute, dict.fromkeys(skills, cost)))
     if not candidates:
         _fail(path, "file", "no candidate records")
     if class_zero_share is not None and zeros is None:
@@ -220,13 +236,14 @@ def load_projects(path: str | Path) -> list[Project]:
     """Load projects in file order; duplicate skills within a record collapse."""
     projects: list[Project] = []
     seen: set[str] = set()
-    for where, (pid, skills) in _read_records(path, _PROJECT_COLUMNS):
+    unit, records = _read_records(path, _PROJECT_COLUMNS)
+    for number, (pid, skills) in records:
         if not pid:
-            _fail(path, where, "project id must be non-empty")
+            _fail(path, (unit, number), "project id must be non-empty")
         if pid in seen:
-            _fail(path, where, f"duplicate project id {pid!r}")
+            _fail(path, (unit, number), f"duplicate project id {pid!r}")
         if not skills:
-            _fail(path, where, "requirement list must be non-empty")
+            _fail(path, (unit, number), "requirement list must be non-empty")
         seen.add(pid)
         projects.append(Project(pid, frozenset(skills)))
     if not projects:

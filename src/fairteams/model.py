@@ -46,7 +46,7 @@ class _ReadOnlyProfile(dict):
         return type(self), (dict(self),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """A hireable individual: id, protected-attribute class and a cost profile.
 
@@ -66,13 +66,14 @@ class Candidate:
             raise ValueError("candidate id must be non-empty")
         if not isinstance(self.attribute, AttributeClass):
             raise ValueError(f"candidate {self.id!r}: attribute must be an AttributeClass")
-        if not self.cost_profile:
+        profile = self.cost_profile
+        if not profile:
             raise ValueError(f"candidate {self.id!r}: cost profile needs at least one skill")
         normalized: dict[str, float] = {}
-        for skill in sorted(self.cost_profile):
+        for skill in sorted(profile):
             if not skill:
                 raise ValueError(f"candidate {self.id!r}: skill tokens must be non-empty")
-            cost = float(self.cost_profile[skill])
+            cost = float(profile[skill])
             if not math.isfinite(cost) or cost <= 0.0:
                 raise ValueError(
                     f"candidate {self.id!r}: cost for skill {skill!r} must be a finite positive number"
@@ -81,7 +82,7 @@ class Candidate:
         object.__setattr__(self, "cost_profile", _ReadOnlyProfile(normalized))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Project:
     """A project: id plus the non-empty set of skills it requires."""
 
@@ -95,7 +96,7 @@ class Project:
         requirements = frozenset(self.requirements)
         if not requirements:
             raise ValueError(f"project {self.id!r}: requirement set must be non-empty")
-        if any(not skill for skill in requirements):
+        if not all(requirements):
             raise ValueError(f"project {self.id!r}: skill tokens must be non-empty")
         object.__setattr__(self, "requirements", requirements)
         object.__setattr__(self, "sorted_requirements", tuple(sorted(requirements)))

@@ -1053,6 +1053,14 @@ def test_greedy_baselines_equal_the_reference_on_a_broad_pool():
         _assert_greedy_equals_the_reference(pool, project)
 
 
+def test_both_greedy_baselines_share_one_diagnostics_record(small_pool, small_project):
+    view = project_view(small_pool, small_project)
+    incremental = assemble_incremental(small_pool, small_project, view=view)
+    fair = assemble_fair_allocation(small_pool, small_project, view=view)
+    assert incremental.diagnostics is fair.diagnostics
+    assert incremental.diagnostics == AssemblyDiagnostics(len(small_pool), len(view.matching))
+
+
 def test_all_assemblers_reach_full_coverage(small_pool, small_project):
     wanted = len(small_project.requirements)
     for outcome in (

@@ -389,15 +389,21 @@ def test_one_job_never_asks_for_the_cpu_count(corpus, monkeypatch):
 # -- what a run keeps alive ---------------------------------------------------
 
 
-def test_kept_result_types_have_no_instance_dict_and_pickle_back_equal(corpus):
-    pool, projects = corpus
+def test_kept_result_types_have_no_instance_dict_and_pickle_back_equal():
+    # a loaded pool and corpus, as worker processes receive them
+    data = Path(__file__).parent / "data"
+    pool = load_pool(data / "pinned_pool.csv")
+    projects = load_projects(data / "pinned_projects.csv")
     _, records = run_benchmark(pool, projects[:1], team_size=3, num_teams=80, seed=9)
     outcome = next(record.outcome for record in records if record.outcome.formed)
     kept = [records[0], outcome, outcome.diagnostics, outcome.team, outcome.objectives]
+    kept += [pool[0], projects[0]]
     kinds = [OutcomeRecord, AssemblyOutcome, AssemblyDiagnostics, Team, ObjectiveVector]
+    kinds += [Candidate, Project]
     assert [type(value) for value in kept] == kinds
     assert [type(value).__name__ for value in kept if hasattr(value, "__dict__")] == []
     assert pickle.loads(pickle.dumps(records)) == records
+    assert pickle.loads(pickle.dumps((pool, projects))) == (pool, projects)
 
 
 def test_importing_the_cli_loads_no_worker_process_modules():

@@ -264,6 +264,34 @@ def test_load_projects_json(tmp_path):
     assert projects[0].requirements == frozenset({"java", "sql"})
 
 
+def _the(token, tokens):
+    """The one string in `tokens` equal to `token`."""
+    (found,) = [t for t in tokens if t == token]
+    return found
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_a_loaded_file_keeps_one_string_per_skill_token(tmp_path, suffix):
+    if suffix == ".json":
+        records = [
+            {"id": "u1", "cost": 0.5, "attribute": "0", "skills": ["java", "sql"]},
+            {"id": "u2", "cost": 0.25, "attribute": "1", "skills": ["sql", "rust"]},
+        ]
+        text = json.dumps(records)
+    else:
+        text = "id,cost,attribute,skills\nu1,0.5,0,java;sql\nu2,0.25,1, sql ;rust\n"
+    first, second = load_pool(_write(tmp_path, f"pool{suffix}", text))
+    assert first.cost_profile == {"java": 0.5, "sql": 0.5}
+    assert second.cost_profile == {"rust": 0.25, "sql": 0.25}
+    assert _the("sql", first.cost_profile) is _the("sql", second.cost_profile)
+
+    path = _write_projects(tmp_path, suffix, [("p1", ["java", "sql"]), ("p2", ["sql", "sql"])])
+    one, two = load_projects(path)
+    assert (one.requirements, two.requirements) == ({"java", "sql"}, {"sql"})
+    assert _the("sql", one.requirements) is _the("sql", two.requirements)
+    assert _the("sql", one.sorted_requirements) is _the("sql", two.requirements)
+
+
 # -- attribute reassignment ----------------------------------------------------
 
 

@@ -240,6 +240,7 @@ def test_kernel_rejects_a_team_with_zero_matched_cost():
     member = Candidate("c", AttributeClass.ZERO, {"z": 1.0})
     view = ProjectView(
         [member],
+        pool_size=1,
         costs=np.full((1, 1), np.inf),
         offers=np.zeros((1, 1), dtype=bool),
         support=np.zeros(1, dtype=np.intp),
